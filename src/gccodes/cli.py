@@ -215,7 +215,6 @@ def _cmd_sync(args) -> int:
             anchor_len=args.anchor_len,
             delta_cap=args.delta_cap,
             hash_len=args.hash_len,
-            seed=args.seed,
         )
         stats = run_sync_trials(
             args.file_bits, args.d, args.trials, mode, args.seed, cfg, args.workers

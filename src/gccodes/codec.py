@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .gf import field
-from .mds import cached_code
+from .mds import SystematicCode, erasure_inverse
 
 MODES = ("deletions", "insertions")
 
@@ -138,7 +138,7 @@ def gc_encode(message: str, params: GcParams) -> str:
         chunk = message[i * ell : (i + 1) * ell]
         # the last block is padded with zeros on the right for mapping only
         symbols.append(int(chunk, 2) << (ell - len(chunk)))
-    code = cached_code(ell, params.k_prime, params.c)
+    code = SystematicCode(gf, params.k_prime, params.c)
     parity_bits = "".join(gf.to_bits(p) for p in code.encode(symbols))
     tail = "".join(b * (params.delta + 1) for b in parity_bits)
     return message + tail
@@ -173,33 +173,41 @@ def _rep_decode_del(remnant: str, rep: int, needed: int) -> str | None:
 def _rep_decode_ins(remnant: str, rep: int, groups: int) -> str | None:
     """Decode a (rep)-repetition tail hit by insertions: find the unique
     `groups`-bit string whose rep-fold repetition embeds in the remnant.
-    Greedy leftmost matching per group with backtracking over the group bit;
-    memoizes dead (position, group) states."""
-    extra = len(remnant) - groups * rep
+    Greedy leftmost matching per group with depth-first backtracking over
+    the group bit, '0' first; memoizes dead (position, group) states. The
+    search is iterative, since groups can outnumber Python's recursion
+    limit."""
+    n = len(remnant)
+    extra = n - groups * rep
     if extra < 0:
         return None
     dead: set[tuple[int, int]] = set()
-
-    def go(i: int, g: int) -> str | None:
-        if g == groups:
-            return ""  # leftover bits are exactly the remaining insertions
-        if (i, g) in dead:
-            return None
-        for b in "01":
-            j = i
-            need = rep
-            while j < len(remnant) and need:
-                if remnant[j] == b:
-                    need -= 1
-                j += 1
-            if need == 0 and j - (g + 1) * rep <= extra:
-                rest = go(j, g + 1)
-                if rest is not None:
-                    return b + rest
-        dead.add((i, g))
-        return None
-
-    return go(0, 0)
+    start = [0] * groups  # where the open group g began matching
+    tried = [0] * groups  # how many of the bits "01" group g has tried
+    g = 0
+    while g >= 0:
+        t = tried[g]
+        if t == 2:
+            dead.add((start[g], g))
+            g -= 1
+            continue
+        tried[g] = t + 1
+        b = "01"[t]
+        j = start[g]
+        need = rep
+        while j < n and need:
+            if remnant[j] == b:
+                need -= 1
+            j += 1
+        if need == 0 and j - (g + 1) * rep <= extra:
+            if g + 1 == groups:
+                # leftover bits are exactly the remaining insertions
+                return "".join("01"[t - 1] for t in tried)
+            if (j, g + 1) not in dead:
+                g += 1
+                start[g] = j
+                tried[g] = 0
+    return None
 
 
 def _recover_parities(
@@ -263,7 +271,7 @@ class _Decoder:
         self.kp = -(-k // ell)
         self.ell_last = k - (self.kp - 1) * ell
         self.gf = field(ell)
-        self.code = cached_code(ell, self.kp, c)
+        self.code = SystematicCode(self.gf, self.kp, c)
         self.starts = [i * ell for i in range(self.kp)]
         self.nlens = [ell] * (self.kp - 1) + [self.ell_last]
 
@@ -377,8 +385,7 @@ class _Decoder:
                 x2 = exp[log[t] + order - log[den]] if t else 0
                 X = [b1 ^ x2, x2]
             else:
-                pos = tuple(i for i, _ in entries)
-                inv = self.code.erasure_inverse(pos)
+                inv = erasure_inverse(self.gf, tuple(i for i, _ in entries))
                 rhs = [p[r] ^ U[r] for r in range(z)]
                 X = []
                 for t_row in inv:
@@ -571,6 +578,11 @@ def decode_with_parities(
         raise ValueError("received length inconsistent with mode")
     if len(parities) <= d:
         raise ValueError("need more than d parity symbols to decode d edits")
+    q = field(ell).q
+    if any(not 0 <= s < q for s in parities):
+        raise ValueError(f"parity symbols must lie in [0, {q})")
+    if -(-k // ell) + len(parities) > q:
+        raise ValueError(f"k' + {len(parities)} parities exceeds field size {q}")
     dec = _decoder(k, ell, len(parities))
     found: dict[str, tuple[int, ...]] = {}
     dec.scan(received, d, tuple(parities), mode, found)
@@ -620,12 +632,11 @@ def decode_case(
         else:
             symbols.append(int(chunk, 2) << (ell - len(chunk)) if chunk else 0)
     e = sum(1 for s in symbols if s is None)
-    code = cached_code(ell, kp, len(parities))
+    code = SystematicCode(field(ell), kp, len(parities))
     decoded = code.decode_erasures(symbols, list(parities[:e]))
 
     for r in range(e + 1, len(parities) + 1):
-        ok, _ = code.check_parity(decoded, r, parities[r - 1])
-        if not ok:
+        if code.parity(decoded, r) != parities[r - 1]:
             return None
 
     parts = []

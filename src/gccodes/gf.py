@@ -54,7 +54,6 @@ class GF2m:
         self.m = m
         self.q = 1 << m
         self.poly = poly
-        self.alpha = 2
 
         order = self.q - 1
         exp = [0] * (2 * order)
@@ -78,8 +77,6 @@ class GF2m:
         """Addition (= subtraction) is XOR in characteristic 2."""
         return a ^ b
 
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -90,9 +87,6 @@ class GF2m:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^m)")
         return self.exp[self.q - 1 - self.log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         """a**e with a**0 = 1 (including 0**0 = 1)."""

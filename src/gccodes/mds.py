@@ -3,8 +3,15 @@
 Parity r (1-based) of a message (S_0, ..., S_{k'-1}) is
 sum_j S_j * alpha^(j*(r-1)), so the parity columns form a transposed
 Vandermonde matrix on the distinct nodes 1, alpha, ..., alpha^(k'-1).
-Erasures are only ever solved in systematic positions with the leading
-parities, for which every square subsystem is invertible.
+Erasures are only ever solved in systematic positions p_0..p_{e-1} with
+the leading parities: sum_s X_s * a_s^r = b_r for r < e, a_s = alpha^(p_s),
+a Vandermonde system on distinct nodes. Its inverse has the closed
+(Lagrange) form that Bjorck-Pereyra and Forney's erasure evaluation use:
+row t holds the coefficients of L_t(x) = prod_{s != t} (x + a_s)/(a_t + a_s),
+since sum_r [x^r]L_t * b_r = sum_s X_s * L_t(a_s) = X_t. It depends only on
+the field and the positions, not on k' or c, so `erasure_inverse` memoizes
+it per (field, positions); the guess scan solves one or two erasures inline
+and needs it only for three or more.
 """
 
 from __future__ import annotations
@@ -12,15 +19,33 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .gf import GF2m, field
+from .gf import GF2m
+
+
+@lru_cache(maxsize=None)
+def erasure_inverse(gf: GF2m, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Inverse of the e x e system formed by parities 1..e at the given
+    distinct erased systematic positions: X_t = sum_r inv[t][r] * b_r."""
+    nodes = [gf.exp[p] for p in positions]
+    rows = []
+    for t, a in enumerate(nodes):
+        poly = [1]  # coefficients of prod (x + a_s), lowest degree first
+        den = 1
+        for s, b in enumerate(nodes):
+            if s != t:
+                poly = [0] + poly
+                for i in range(len(poly) - 1):
+                    poly[i] ^= gf.mul(b, poly[i + 1])
+                den = gf.mul(den, a ^ b)
+        scale = gf.inv(den)
+        rows.append(tuple(gf.mul(v, scale) for v in poly))
+    return tuple(rows)
 
 
 class SystematicCode:
     def __init__(self, gf: GF2m, k_prime: int, c: int):
         if k_prime < 1 or c < 1:
             raise ValueError("need k_prime >= 1 and c >= 1")
-        if k_prime > gf.q - 1:
-            raise ValueError(f"k_prime={k_prime} exceeds {gf.q - 1} distinct nodes")
         if k_prime + c > gf.q:
             raise ValueError(f"k_prime + c = {k_prime + c} exceeds field size {gf.q}")
         self.gf = gf
@@ -29,7 +54,6 @@ class SystematicCode:
         order = gf.q - 1
         # logcol[r-1][j] = log of the column entry alpha^(j*(r-1))
         self.logcol = [[(j * r) % order for j in range(k_prime)] for r in range(c)]
-        self._inverses: dict[tuple[int, ...], list[list[int]]] = {}
 
     def parity(self, symbols: Sequence[int], r: int) -> int:
         """Value of parity r in [1, c] for a full symbol sequence."""
@@ -49,22 +73,6 @@ class SystematicCode:
         """All c parities of the message (returned alongside, not replacing it)."""
         return tuple(self.parity(message, r) for r in range(1, self.c + 1))
 
-    def check_parity(self, symbols: Sequence[int], r: int, expected: int) -> tuple[bool, int]:
-        """Recompute parity r and compare; returns (matches, computed value)."""
-        got = self.parity(symbols, r)
-        return got == expected, got
-
-    def erasure_inverse(self, positions: tuple[int, ...]) -> list[list[int]]:
-        """Inverse of the e x e system formed by parities 1..e at the given
-        erased systematic positions. Cached; positions must be sorted."""
-        inv = self._inverses.get(positions)
-        if inv is None:
-            e = len(positions)
-            rows = [[self.gf.exp[self.logcol[r][p]] for p in positions] for r in range(e)]
-            inv = invert_matrix(rows, self.gf)
-            self._inverses[positions] = inv
-        return inv
-
     def decode_erasures(self, symbols: Sequence[int | None], parities: Sequence[int]) -> list[int]:
         """Fill in erased (None) positions using the first e parity values.
 
@@ -80,52 +88,14 @@ class SystematicCode:
             raise ValueError(f"{e} erasures need exactly the first {e} parities")
         if e > self.c:
             raise ValueError(f"{e} erasures exceed {self.c} parities")
+        known = [s or 0 for s in symbols]
+        rhs = [parities[r] ^ self.parity(known, r + 1) for r in range(e)]
         exp, log = self.gf.exp, self.gf.log
-        rhs = []
-        for r in range(e):
-            logs = self.logcol[r]
-            acc = parities[r]
-            for j, s in enumerate(symbols):
-                if s:
-                    acc ^= exp[log[s] + logs[j]]
-            rhs.append(acc)
-        inv = self.erasure_inverse(erased)
         out = list(symbols)
-        for t in range(e):
+        for t, row in enumerate(erasure_inverse(self.gf, erased)):
             acc = 0
-            row = inv[t]
-            for r in range(e):
-                b = rhs[r]
-                a = row[r]
+            for a, b in zip(row, rhs):
                 if a and b:
                     acc ^= exp[log[a] + log[b]]
             out[erased[t]] = acc
         return out  # type: ignore[return-value]
-
-
-def invert_matrix(rows: list[list[int]], gf: GF2m) -> list[list[int]]:
-    """Gauss-Jordan inversion over the field; arithmetic is exact so the
-    only failure mode is a genuinely singular system."""
-    n = len(rows)
-    a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular system; Vandermonde invariant violated")
-        a[col], a[pivot] = a[pivot], a[col]
-        pinv = gf.inv(a[col][col])
-        a[col] = [gf.mul(pinv, v) for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                arow, crow = a[r], a[col]
-                for j in range(2 * n):
-                    if crow[j]:
-                        arow[j] ^= gf.mul(f, crow[j])
-    return [row[n:] for row in a]
-
-
-@lru_cache(maxsize=None)
-def cached_code(m: int, k_prime: int, c: int) -> SystematicCode:
-    """Shared code instance (and erasure-inverse cache) per parameter triple."""
-    return SystematicCode(field(m), k_prime, c)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 from .channel import _sample_plan, apply_edits
 from .codec import Failure, Success, decode_with_parities, subsequence_check
-from .mds import cached_code
+from .gf import field
+from .mds import SystematicCode
 from .vt import NoConsistentInsertion, vt_correct, vt_syndrome
 
 MODES = ("vt", "gc")
@@ -39,7 +40,6 @@ class SyncConfig:
     anchor_len: int = 25
     delta_cap: int = 2
     hash_len: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -164,6 +164,24 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
         if a_hi > a_lo:
             pieces.append((a_lo, a_hi, content))
 
+    def settle(seg: SegmentPair, candidate: str | None, a_hash: int) -> None:
+        """Commit a candidate whose hash matches A's, else fall back to raw."""
+        if candidate is not None and _digest(candidate, config.hash_len) == a_hash:
+            commit(seg.a_lo, seg.a_hi, candidate)
+        else:
+            seg.state = "raw_due"
+            nxt.append(seg)
+
+    def try_gc(seg: SegmentPair, b_seg: str) -> None:
+        """Decode with the first c_cur parities; a Failure waits for one more
+        parity until c_max is reached."""
+        outcome = decode_with_parities(b_seg, seg.a_len, seg.ell, seg.parities[: seg.c_cur])
+        if isinstance(outcome, Failure) and seg.c_cur < config.c_max(seg.d):
+            seg.state = "gc_wait"
+            nxt.append(seg)
+        else:
+            settle(seg, outcome.message if isinstance(outcome, Success) else None, seg.a_hash)
+
     while work:
         rounds += 1
         nxt: list[SegmentPair] = []
@@ -181,28 +199,12 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
             if seg.state == "gc_wait":
                 ledger.append((rounds, "a2b", "gc_parity", seg.ell))
                 seg.c_cur += 1
-                outcome = decode_with_parities(
-                    b_seg, seg.a_len, seg.ell, seg.parities[: seg.c_cur]
-                )
-                if (
-                    isinstance(outcome, Success)
-                    and _digest(outcome.message, config.hash_len) == seg.a_hash
-                ):
-                    commit(seg.a_lo, seg.a_hi, outcome.message)
-                elif isinstance(outcome, Failure) and seg.c_cur < config.c_max(d):
-                    nxt.append(seg)
-                else:
-                    seg.state = "raw_due"
-                    nxt.append(seg)
+                try_gc(seg, b_seg)
                 continue
 
             if d == 0:
                 ledger.append((rounds, "a2b", "hash", config.hash_len))
-                if _digest(b_seg, config.hash_len) == _digest(a_seg, config.hash_len):
-                    commit(seg.a_lo, seg.a_hi, b_seg)
-                else:
-                    seg.state = "raw_due"
-                    nxt.append(seg)
+                settle(seg, b_seg, _digest(a_seg, config.hash_len))
                 continue
 
             if d == 1:
@@ -212,41 +214,25 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
                     candidate = vt_correct(b_seg, vt_syndrome(a_seg))
                 except NoConsistentInsertion:
                     candidate = None
-                if candidate is not None and _digest(
-                    candidate, config.hash_len
-                ) == _digest(a_seg, config.hash_len):
-                    commit(seg.a_lo, seg.a_hi, candidate)
-                else:
-                    seg.state = "raw_due"
-                    nxt.append(seg)
+                settle(seg, candidate, _digest(a_seg, config.hash_len))
                 continue
 
             if config.mode == "gc" and d <= config.delta_cap:
                 ell = _segment_ell(seg.a_len, config.c_max(d))
                 if ell is not None:
-                    c0 = config.c_init(d)
-                    ledger.append((rounds, "a2b", "gc_parities", c0 * ell + config.hash_len))
+                    seg.c_cur = config.c_init(d)
+                    cost = seg.c_cur * ell + config.hash_len
+                    ledger.append((rounds, "a2b", "gc_parities", cost))
                     kp = -(-seg.a_len // ell)
                     symbols = [
                         int(ch, 2) << (ell - len(ch))
                         for ch in (a_seg[i * ell : (i + 1) * ell] for i in range(kp))
                     ]
-                    seg.parities = cached_code(ell, kp, config.c_max(d)).encode(symbols)
+                    code = SystematicCode(field(ell), kp, config.c_max(d))
+                    seg.parities = code.encode(symbols)
                     seg.ell = ell
                     seg.a_hash = _digest(a_seg, config.hash_len)
-                    outcome = decode_with_parities(b_seg, seg.a_len, ell, seg.parities[:c0])
-                    if (
-                        isinstance(outcome, Success)
-                        and _digest(outcome.message, config.hash_len) == seg.a_hash
-                    ):
-                        commit(seg.a_lo, seg.a_hi, outcome.message)
-                    elif isinstance(outcome, Failure):
-                        seg.state = "gc_wait"
-                        seg.c_cur = c0
-                        nxt.append(seg)
-                    else:
-                        seg.state = "raw_due"
-                        nxt.append(seg)
+                    try_gc(seg, b_seg)
                     continue
                 # segment too large for the backing field: fall through to anchor
 
@@ -298,7 +284,7 @@ def run_sync_trials(
 ) -> list[SyncStats]:
     """Random-instance trials; trial t depends only on (seed, t), so VT and
     GC runs with the same seed synchronize the same file pairs."""
-    cfg = config if config is not None else SyncConfig(mode=mode, seed=seed)
+    cfg = config if config is not None else SyncConfig(mode=mode)
     seeds = [(seed << 32) + t for t in range(trials)]
     if workers <= 1:
         return [_sync_trial(file_bits, d, mode, cfg, s) for s in seeds]

@@ -187,3 +187,29 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == CODEWORD_A + "\n"
+
+
+def test_decode_insertion_with_long_parity_tail(tmp_path):
+    # 200 parities of 12 bits make a tail of 2,400 repetition groups
+    flags = ["--k", "16", "--ell", "12", "--c", "200", "--delta", "1"]
+    cw = tmp_path / "cw.txt"
+    src = tmp_path / "msg.txt"
+    src.write_text(MSG_A + "\n")
+    env_run = [sys.executable, "-m", "gccodes"]
+    enc = subprocess.run(
+        [*env_run, "encode", *flags, "--in", str(src), "--out", str(cw)],
+        capture_output=True,
+        text=True,
+    )
+    assert enc.returncode == 0
+    bits = cw.read_text().strip()
+    rec = tmp_path / "rec.txt"
+    rec.write_text(bits[:1000] + "1" + bits[1000:] + "\n")
+    proc = subprocess.run(
+        [*env_run, "decode", *flags, "--mode", "insertions", "--in", str(rec)],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0
+    assert proc.stdout == MSG_A + "\n"

@@ -21,7 +21,7 @@ from gccodes import (
     subsequence_check,
 )
 from gccodes.gf import field
-from gccodes.mds import cached_code
+from gccodes.mds import SystematicCode
 
 from vectors import (
     CODEWORD_A,
@@ -328,6 +328,41 @@ class TestGcDecode:
                     if isinstance(out, Success):
                         assert out.message == msg
 
+    def test_insertion_tail_longer_than_recursion_limit(self):
+        # 200 parities of 12 bits: 2,400 repetition groups in the tail
+        p = GcParams(16, 12, 200, 1)
+        msg = "1011001110001011"
+        cw = gc_encode(msg, p)
+        for pos in (0, 7, 16, 1000, p.n):
+            for bit in "01":
+                out = gc_decode(cw[:pos] + bit + cw[pos:], p, "insertions")
+                assert out == Success(msg, out.witness)
+
+
+def _check_against_reference(rng, k, ell, c, d, mode, seed):
+    kp = -(-k // ell)
+    params = GcParams(k, ell, c, d)
+    msg = format(rng.getrandbits(k), f"0{k}b")
+    gf = field(ell)
+    syms = [gf.from_bits(msg[i * ell : (i + 1) * ell].ljust(ell, "0")) for i in range(kp)]
+    parities = SystematicCode(gf, kp, c).encode(syms)
+    region = apply_edits(msg, sample_plan(k, d, mode, seed=seed))
+    caps = None
+    if mode == "deletions":
+        caps = [ell] * (kp - 1) + [k - (kp - 1) * ell]
+    expected = {}
+    for a in enumerate_cases(kp, d, caps):
+        got = decode_case(region, a, parities, params, mode)
+        if got is not None and (got not in expected or a < expected[got]):
+            expected[got] = a
+    out = decode_with_parities(region, k, ell, parities, mode)
+    if isinstance(out, Success):
+        assert expected == {out.message: out.witness}
+    elif isinstance(out, Failure):
+        assert out.candidates == frozenset(expected)
+    else:
+        assert expected == {}
+
 
 class TestEngineAgainstReference:
     def test_engine_matches_case_by_case_decoder(self):
@@ -346,32 +381,17 @@ class TestEngineAgainstReference:
             d = rng.choice([1, 2, 3])
             if d >= c:
                 continue
-            params = GcParams(k, ell, c, d)
-            msg = format(rng.getrandbits(k), f"0{k}b")
-            gf = field(ell)
-            syms = [
-                gf.from_bits(msg[i * ell : (i + 1) * ell].ljust(ell, "0"))
-                for i in range(kp)
-            ]
-            parities = cached_code(ell, kp, c).encode(syms)
-            plan = sample_plan(k, d, mode, seed=checked)
-            region = apply_edits(msg, plan)
-            caps = None
-            if mode == "deletions":
-                caps = [ell] * (kp - 1) + [k - (kp - 1) * ell]
-            expected = {}
-            for a in enumerate_cases(kp, d, caps):
-                got = decode_case(region, a, parities, params, mode)
-                if got is not None and (got not in expected or a < expected[got]):
-                    expected[got] = a
-            out = decode_with_parities(region, k, ell, parities, mode)
-            if isinstance(out, Success):
-                assert expected == {out.message: out.witness}
-            elif isinstance(out, Failure):
-                assert out.candidates == frozenset(expected)
-            else:
-                assert expected == {}
+            _check_against_reference(rng, k, ell, c, d, mode, checked)
             checked += 1
+
+    def test_three_edits_beyond_eight_blocks(self):
+        # k' = 10..12 blocks: the scan solves three-block erasures with the
+        # memoized closed-form inverse, the reference with decode_erasures
+        rng = random.Random(21)
+        for t in range(60):
+            k, ell = rng.choice([(48, 5), (60, 5), (60, 6)])
+            mode = ("deletions", "insertions")[t % 2]
+            _check_against_reference(rng, k, ell, rng.choice([4, 5]), 3, mode, t)
 
 
 class TestDecodeWithParities:
@@ -384,7 +404,7 @@ class TestDecodeWithParities:
             for t in range(30):
                 msg = format(rng.getrandbits(k), f"0{k}b")
                 syms = [gf.from_bits(msg[i * ell : (i + 1) * ell]) for i in range(kp)]
-                parities = cached_code(ell, kp, d + 2).encode(syms)
+                parities = SystematicCode(gf, kp, d + 2).encode(syms)
                 region = apply_edits(msg, sample_plan(k, d, "deletions", seed=t))
                 out = decode_with_parities(region, k, ell, parities)
                 if isinstance(out, Success):
@@ -397,3 +417,9 @@ class TestDecodeWithParities:
             decode_with_parities("0" * 14, 16, 4, (0, 0))  # d=2 needs > 2
         with pytest.raises(ValueError):
             decode_with_parities("0" * 18, 16, 4, (0, 0, 0))  # longer than k
+        with pytest.raises(ValueError):
+            decode_with_parities("0" * 30, 32, 4, (99, 5, 7))  # symbol above 2^ell
+        with pytest.raises(ValueError):
+            decode_with_parities("0" * 30, 32, 4, (1, -5, 7))  # negative symbol
+        with pytest.raises(ValueError):
+            decode_with_parities("0" * 60, 62, 4, (0, 0, 0))  # k' + 3 = 19 > 16
