@@ -52,8 +52,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(str(exc))
 
 
 def _write_rows(rows: list[dict], fields: tuple[str, ...], fmt: str, path: str | None) -> None:

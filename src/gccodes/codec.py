@@ -5,11 +5,15 @@ to a GF(2^ell) symbol, appends c systematic MDS parities, and protects only
 the parity bits with a (delta+1)-fold repetition code. Decoding first
 recovers the parity bits exactly from the repetition-coded tail, then tries
 every way of distributing the missing/extra bits over the message blocks:
-each guess erasure-decodes the assumed-hit blocks and survives only if the
-unused parities check out and each decoded block is consistent (as a
-supersequence or subsequence) with the bits actually received for it. The
-decoder reports success only when all surviving guesses agree on one
-message, so it can fail to decode but never decodes wrongly.
+a guess survives only if the erasure locator of its assumed-hit blocks
+annihilates its residual syndromes (the unused parities check out, tested
+before any solve), and only then are the erased blocks solved and checked
+for consistency (as a supersequence or subsequence) with the bits actually
+received for them. The decoder reports success only when all surviving
+guesses agree on one message, so it can fail to decode but never decodes
+wrongly. `decode_case` is the independent single-guess reference: it
+solves every guess with `mds.erasure_inverse` and checks the parities
+afterwards.
 
 Bit strings are plain Python str objects over '0'/'1'.
 """
@@ -17,12 +21,12 @@ Bit strings are plain Python str objects over '0'/'1'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate
+from operator import add, xor
 from typing import Iterator, Sequence
 
 from .gf import field
-from .mds import SystematicCode, erasure_inverse
+from .mds import SystematicCode
 
 MODES = ("deletions", "insertions")
 
@@ -256,277 +260,238 @@ def recover_parities_ins(received: str, params: GcParams) -> tuple[str, list[tup
     return _recover_parities(received, params, "insertions")
 
 
-class _Decoder:
-    """Case-scanning engine shared by gc_decode and decode_with_parities.
+def _prefix_tables(region: str, nlens: list[int], d: int, logcol, gf, sign: int):
+    """T[s][r][i] = XOR of the parity-r terms of blocks 0..i-1 read at shift
+    s, the number of edits assumed before them. Unerased-block symbols
+    depend only on (block, shift), so the terms of any unerased run of
+    blocks at one shift are one table difference."""
+    ell = gf.m
+    exp, log = gf.exp, gf.log
+    tables = []
+    for s in range(d + 1):
+        off = sign * s
+        # infeasible (block, shift) pairs read junk here; it only ever
+        # appears inside both terms of a table difference and cancels
+        chunks = [
+            region[st : st + ell] if st >= 0 else ""
+            for st in range(off, off + len(nlens) * ell, ell)
+        ]
+        chunks[-1] = chunks[-1][: nlens[-1]]
+        logs = [log[int(ch or "0", 2) << (ell - len(ch))] for ch in chunks]
+        tables.append(
+            [[0, *accumulate(map(exp.__getitem__, map(add, logs, cols)), xor)] for cols in logcol]
+        )
+    return tables
 
-    Unerased-block symbols depend only on (block, shift) where the shift is
-    the number of edits assumed before the block, so per-shift prefix XOR
-    tables of parity terms make each guess O(c * z) instead of O(c * k').
+
+def _times_root(P: list[int], i: int, gf) -> list[int]:
+    """Coefficients (lowest degree first) of P(x) * (x + alpha^i)."""
+    exp, log = gf.exp, gf.log
+    return [a ^ exp[i + log[b]] for a, b in zip([0] + P, P + [0])]
+
+
+def _window(lp: list[int], rows: list[list[int]], m: int, gf) -> list[int]:
+    """Elementwise sum_t P_t * rows[m + t] for a monic P given by its
+    coefficient logs `lp`."""
+    exp, log = gf.exp, gf.log
+    y = len(lp) - 1
+    out = rows[m + y]
+    for t in range(y):
+        lt = lp[t]
+        out = [o ^ exp[lt + log[x]] for o, x in zip(out, rows[m + t])]
+    return out
+
+
+def _scan(
+    region: str,
+    k: int,
+    code: SystematicCode,
+    d: int,
+    p: Sequence[int],
+    deletions: bool,
+    found: dict[str, tuple[int, ...]],
+) -> None:
+    """Try every assignment of d edits to the blocks of this region of a
+    k-bit message against the parities p of `code`; record accepted
+    messages in `found` keyed by message, value = lexicographically
+    smallest accepting assignment.
+
+    A guess erasing blocks i_1 < ... < i_z leaves the residual syndromes
+    b_r = p_r + (parity-r terms of the unerased blocks) = sum_t X_t a_t^r,
+    a_t = alpha^(i_t). It fits the parities iff its erasure locator
+    P(x) = prod_t (x + a_t) annihilates every window,
+    sum_t P_t b_(m+t) = 0 for m = 0 .. c-1-z (Forney's erasure test), so no
+    guess is solved before it passes. For the last two erased blocks
+    i < j, window 0 separates into terms in i and terms in j, so the pair
+    loop tests each pair in O(1) from lists built once per erased prefix.
     """
+    gf = code.gf
+    exp, log = gf.exp, gf.log
+    order = gf.q - 1
+    ell = gf.m
+    kp = code.k_prime
+    cn = len(p)
+    nlens = [ell] * (kp - 1) + [k - (kp - 1) * ell]
+    T = _prefix_tables(region, nlens, d, code.logcol, gf, -1 if deletions else 1)
+    Td = T[d]
+    # last[s][r][j] = p_r + terms of blocks before j at shift s + terms of
+    # the blocks after j at shift d: b_r of a guess whose last erased block
+    # is j, as if every block before j were unerased and read at shift s
+    last = [
+        [[pr ^ td[kp] ^ a ^ b for a, b in zip(ts, td[1:])] for pr, ts, td in zip(p, Ts, Td)]
+        for Ts in T[:d]
+    ]
 
-    def __init__(self, k: int, ell: int, c: int):
-        self.k = k
-        self.ell = ell
-        self.c = c
-        self.kp = -(-k // ell)
-        self.ell_last = k - (self.kp - 1) * ell
-        self.gf = field(ell)
-        self.code = SystematicCode(self.gf, self.kp, c)
-        self.starts = [i * ell for i in range(self.kp)]
-        self.nlens = [ell] * (self.kp - 1) + [self.ell_last]
+    def top(v: int) -> int:
+        """Blocks 0 .. top(v)-1 can take v edits: a block cannot lose more
+        bits than it has, and only the last block can be shorter than ell."""
+        if not deletions or v <= nlens[-1]:
+            return kp
+        return kp - 1 if v <= ell else 0
 
-    def _tables(self, region: str, d: int, cn: int, sign: int):
-        kp, ell = self.kp, self.ell
-        starts, nlens = self.starts, self.nlens
-        exp, log = self.gf.exp, self.gf.log
-        logcol = self.code.logcol
-        sym = []
-        for s in range(d + 1):
-            off = sign * s
-            row = []
-            for i in range(kp):
-                st = starts[i] + off
-                if st < 0:
-                    row.append(0)
-                    continue
-                ch = region[st : st + nlens[i]]
-                # infeasible (block, shift) pairs produce junk values here;
-                # they only ever appear inside both terms of a prefix
-                # difference and cancel
-                row.append(int(ch, 2) << (ell - len(ch)) if ch else 0)
-            sym.append(row)
-        tables = []
-        for r in range(cn):
-            lcr = logcol[r]
-            per_shift = []
-            for s in range(d + 1):
-                symrow = sym[s]
-                acc = 0
-                pref = [0] * (kp + 1)
-                for i in range(kp):
-                    v = symrow[i]
-                    if v:
-                        acc ^= exp[log[v] + lcr[i]]
-                    pref[i + 1] = acc
-                per_shift.append(pref)
-            tables.append(per_shift)
-        return tables
+    def accept(b: list[int], entries: tuple[tuple[int, int], ...]) -> None:
+        """Check every window with the full locator, solve the erased
+        symbols by Newton elimination, then rebuild and record."""
+        locs = [[1]]  # locs[t] = locator of the first t erased blocks
+        for i, _ in entries:
+            locs.append(_times_root(locs[-1], i, gf))
+        z = len(entries)
+        lp = [log[v] for v in locs[z]]
+        for m in range(cn - z):
+            acc = 0
+            for lt, x in zip(lp, b[m:]):
+                acc ^= exp[lt + log[x]]
+            if acc:
+                return
+        b = b[:z]
+        X = [0] * z
+        for t in range(z - 1, -1, -1):
+            # locs[t] vanishes at the blocks before t, and the blocks after
+            # t are already taken out of b
+            i = entries[t][0]
+            num = den = 0
+            for coef, x in zip(locs[t], b):
+                num ^= exp[log[coef] + log[x]]
+            for coef in reversed(locs[t]):
+                den = exp[log[den] + i] ^ coef
+            x = X[t] = exp[log[num] + order - log[den]]
+            for r in range(t):
+                b[r] ^= x
+                x = exp[log[x] + i]
+        msg = _rebuild(region, ell, nlens, entries, X, deletions)
+        if msg is not None:
+            dense = [0] * kp
+            for i, v in entries:
+                dense[i] = v
+            _record(found, msg, tuple(dense))
 
-    def scan(
-        self,
-        region: str,
-        d: int,
-        parities: Sequence[int],
-        mode: str,
-        found: dict[str, tuple[int, ...]],
-    ) -> None:
-        """Run every edit assignment for this region; record accepted
-        messages in `found` keyed by message, value = lexicographically
-        smallest accepting assignment."""
-        kp = self.kp
-        cn = len(parities)
-        sign = -1 if mode == "deletions" else 1
-        tables = self._tables(region, d, cn, sign)
-        exp, log = self.gf.exp, self.gf.log
-        order = self.gf.q - 1
-        logcol = self.code.logcol
-        nlens = self.nlens
-        p = tuple(parities)
-        deletions = mode == "deletions"
-        if d == 2:
-            self._scan_two(region, tables, p, deletions, found)
-            return
-        # caps only matter when some block is shorter than the edit count
-        check_caps = deletions and d > self.ell_last
+    if d == 0:
+        accept([pr ^ t[kp] for pr, t in zip(p, T[0])], ())
+        return
 
-        for ms in combinations_with_replacement(range(kp), d):
-            entries: list[list[int]] = []
-            prev = -1
-            for b in ms:
-                if b == prev:
-                    entries[-1][1] += 1
-                else:
-                    entries.append([b, 1])
-                    prev = b
-            if check_caps and any(v > nlens[i] for i, v in entries):
-                continue  # more deletions than the block has bits
-            z = len(entries)
+    # one block j takes all d edits: locator x + a_j, window 0 is b_1 = a_j b_0
+    b0, b1 = last[0][0], last[0][1]
+    for j in range(top(d)):
+        if b1[j] == exp[j + log[b0[j]]]:
+            accept([row[j] for row in last[0]], ((j, d),))
 
-            # per-parity syndrome of the unerased blocks, via shift segments
-            U = []
-            for r in range(cn):
-                tr = tables[r]
-                acc = 0
-                lo = 0
-                s = 0
-                for i, v in entries:
-                    row = tr[s]
-                    acc ^= row[i] ^ row[lo]
-                    s += v
-                    lo = i + 1
-                row = tr[s]
-                U.append(acc ^ row[kp] ^ row[lo])
+    # erased-block prefixes, each leaving at least two edits for its final
+    # pair: (locator P, shift s after it, first free block lo, terms K_r of
+    # the unerased blocks before lo, per-block edits)
+    work = [([1], 0, 0, [0] * cn, ())]
+    while work:
+        P, s, lo, K, entries = work.pop()
+        e = d - s
+        Ts = T[s]
+        if e > 2:
+            vmax = min(e - 2, ell) if deletions else e - 2
+            for i in range(lo, kp - 2):
+                Ki = [kr ^ ts[lo] ^ ts[i] for kr, ts in zip(K, Ts)]
+                Pi = _times_root(P, i, gf)
+                for v in range(1, vmax + 1):
+                    work.append((Pi, s + v, i + 1, Ki, entries + ((i, v),)))
 
-            if z == 0:
-                # no erased block: the region must satisfy every parity as is
-                if all(U[r] == p[r] for r in range(cn)):
-                    _record(found, region, (0,) * kp)
+        lp = [log[v] for v in P]
+        rows = len(P) + 2  # window 0 of the full locator reads b_0 .. b_(deg P + 2)
+        for w in range(1, e):
+            u = e - w
+            jtop = top(u)
+            itop = min(top(w), jtop - 1)
+            if itop <= lo:
                 continue
+            Tw = T[s + w]
+            Lw = last[s + w]
+            A = [
+                [K[r] ^ Ts[r][lo] ^ a ^ b for a, b in zip(Ts[r][lo:itop], Tw[r][lo + 1 :])]
+                for r in range(rows)
+            ]
+            I = range(lo, itop)
+            J = range(lo + 1, jtop)
+            D0, D1, D2 = (_window(lp, A, m, gf) for m in range(3))
+            V0, V1, V2 = (
+                _window(lp, [row[lo + 1 : jtop] for row in Lw[:rows]], m, gf) for m in range(3)
+            )
+            # window 0 of P(x)(x + a_i)(x + a_j) = R_1 + a_j R_0 regroups as
+            # C_1(i) + a_j C_0(i) + G(j) + a_i H(j), C_m = D_(m+1) + a_i D_m,
+            # H = V_1 + a_j V_0 and G = V_2 + a_j V_1
+            LC0 = [log[d1 ^ exp[i + log[d0]]] for i, d0, d1 in zip(I, D0, D1)]
+            C1 = [d2 ^ exp[i + log[d1]] for i, d1, d2 in zip(I, D1, D2)]
+            LH = [log[v1 ^ exp[j + log[v0]]] for j, v0, v1 in zip(J, V0, V1)]
+            G = [v2 ^ exp[j + log[v1]] for j, v1, v2 in zip(J, V1, V2)]
+            for n, (i, lc0, c1) in enumerate(zip(I, LC0, C1)):
+                # exp[lc0 + j] = a_j C_0(i) for the j after i
+                for j, g, lh, cj in zip(J[n:], G[n:], LH[n:], exp[lc0 + i + 1 : lc0 + jtop]):
+                    if c1 ^ g ^ exp[i + lh] == cj:
+                        accept(
+                            [
+                                K[r] ^ Ts[r][lo] ^ Ts[r][i] ^ Tw[r][i + 1] ^ Lw[r][j]
+                                for r in range(cn)
+                            ],
+                            entries + ((i, w), (j, u)),
+                        )
 
-            if z == 1:
-                X = [p[0] ^ U[0]]
-            elif z == 2:
-                b1 = p[0] ^ U[0]
-                b2 = p[1] ^ U[1]
-                i0 = entries[0][0]
-                i1 = entries[1][0]
-                t = b2 ^ (exp[i0 + log[b1]] if b1 else 0)
-                den = exp[i0] ^ exp[i1]
-                x2 = exp[log[t] + order - log[den]] if t else 0
-                X = [b1 ^ x2, x2]
-            else:
-                inv = erasure_inverse(self.gf, tuple(i for i, _ in entries))
-                rhs = [p[r] ^ U[r] for r in range(z)]
-                X = []
-                for t_row in inv:
-                    acc = 0
-                    for a, b in zip(t_row, rhs):
-                        if a and b:
-                            acc ^= exp[log[a] + log[b]]
-                    X.append(acc)
 
-            ok = True
-            for r in range(z, cn):
-                lcr = logcol[r]
-                acc = U[r]
-                for (i, _), x in zip(entries, X):
-                    if x:
-                        acc ^= exp[log[x] + lcr[i]]
-                if acc != p[r]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-
-            msg = self._rebuild(region, entries, X, deletions)
-            if msg is not None:
-                dense = [0] * kp
-                for i, v in entries:
-                    dense[i] = v
-                _record(found, msg, tuple(dense))
-
-    def _scan_two(self, region, tables, p, deletions, found):
-        """d == 2 fast path. For the two-block guesses the unerased syndrome
-        separates into U_r(i, j) = f_r(i) ^ g_r(j), so the pair loop runs on
-        two precomputed tables instead of per-case segment walks."""
-        kp = self.kp
-        cn = len(p)
-        exp, log = self.gf.exp, self.gf.log
-        order = self.gf.q - 1
-        logcol = self.code.logcol
-        p0, p1 = p[0], p[1]
-
-        # one block takes both edits
-        both_cap_ok = not deletions or self.ell_last >= 2  # mid blocks have >= 2 bits
-        for i in range(kp):
-            if i == kp - 1 and not both_cap_ok:
-                continue
-            x = p0
-            for r in range(cn):
-                tr = tables[r]
-                u = tr[0][i] ^ tr[2][kp] ^ tr[2][i + 1]
-                if r == 0:
-                    x ^= u
-                else:
-                    acc = u ^ (exp[log[x] + logcol[r][i]] if x else 0)
-                    if acc != p[r]:
-                        break
-            else:
-                msg = self._rebuild(region, [[i, 2]], [x], deletions)
-                if msg is not None:
-                    dense = [0] * kp
-                    dense[i] = 2
-                    _record(found, msg, tuple(dense))
-
-        # two distinct blocks take one edit each
-        F = []
-        G = []
-        for r in range(cn):
-            t0, t1, t2 = tables[r]
-            tail = t2[kp]
-            F.append([t0[i] ^ t1[i + 1] for i in range(kp)])
-            G.append([t1[j] ^ t2[j + 1] ^ tail for j in range(kp)])
-        f0, g0 = F[0], G[0]
-        f1, g1 = F[1], G[1]
-        rest = [(F[r], G[r], logcol[r], p[r]) for r in range(2, cn)]
-        for i in range(kp - 1):
-            f0i = f0[i]
-            f1i = f1[i]
-            expi = exp[i]
-            for j in range(i + 1, kp):
-                b1 = p0 ^ f0i ^ g0[j]
-                t = p1 ^ f1i ^ g1[j] ^ (exp[i + log[b1]] if b1 else 0)
-                x2 = exp[log[t] + order - log[expi ^ exp[j]]] if t else 0
-                x1 = b1 ^ x2
-                for fr, gr, lcr, pr in rest:
-                    acc = fr[i] ^ gr[j]
-                    if x1:
-                        acc ^= exp[log[x1] + lcr[i]]
-                    if x2:
-                        acc ^= exp[log[x2] + lcr[j]]
-                    if acc != pr:
-                        break
-                else:
-                    msg = self._rebuild(region, [[i, 1], [j, 1]], [x1, x2], deletions)
-                    if msg is not None:
-                        dense = [0] * kp
-                        dense[i] = 1
-                        dense[j] = 1
-                        _record(found, msg, tuple(dense))
-
-    def _rebuild(
-        self, region: str, entries: list[list[int]], X: list[int], deletions: bool
-    ) -> str | None:
-        """Criterion-2 verification plus message assembly for a surviving guess."""
-        ell = self.ell
-        nlens = self.nlens
-        parts = []
-        pos = 0
-        t = 0
-        for i in range(self.kp):
-            nl = nlens[i]
-            if t < len(entries) and entries[t][0] == i:
-                v = entries[t][1]
-                clen = nl - v if deletions else nl + v
-                chunk = region[pos : pos + clen]
-                decoded = format(X[t], f"0{ell}b")
-                content = decoded[:nl]
-                if nl < ell and "1" in decoded[nl:]:
-                    return None  # padding bits of the last block must be zero
-                if deletions:
-                    if not subsequence_check(chunk, content):
-                        return None
-                else:
-                    if not subsequence_check(content, chunk):
-                        return None
-                parts.append(content)
-                pos += clen
-                t += 1
-            else:
-                parts.append(region[pos : pos + nl])
-                pos += nl
-        return "".join(parts)
+def _rebuild(
+    region: str,
+    ell: int,
+    nlens: list[int],
+    entries: Sequence[tuple[int, int]],
+    X: list[int],
+    deletions: bool,
+) -> str | None:
+    """Criterion-2 verification plus message assembly for a surviving guess:
+    unerased runs are copied from the region, erased blocks are decoded."""
+    parts = []
+    pos = 0
+    nxt = 0  # first block not yet placed
+    for (i, v), x in zip(entries, X):
+        run = (i - nxt) * ell  # only the last block can be short
+        parts.append(region[pos : pos + run])
+        pos += run
+        nl = nlens[i]
+        clen = nl - v if deletions else nl + v
+        chunk = region[pos : pos + clen]
+        decoded = format(x, f"0{ell}b")
+        content = decoded[:nl]
+        if nl < ell and "1" in decoded[nl:]:
+            return None  # padding bits of the last block must be zero
+        if deletions:
+            if not subsequence_check(chunk, content):
+                return None
+        else:
+            if not subsequence_check(content, chunk):
+                return None
+        parts.append(content)
+        pos += clen
+        nxt = i + 1
+    parts.append(region[pos:])
+    return "".join(parts)
 
 
 def _record(found: dict[str, tuple[int, ...]], msg: str, dense: tuple[int, ...]) -> None:
     cur = found.get(msg)
     if cur is None or dense < cur:
         found[msg] = dense
-
-
-@lru_cache(maxsize=64)
-def _decoder(k: int, ell: int, c: int) -> _Decoder:
-    return _Decoder(k, ell, c)
 
 
 def _outcome(found: dict[str, tuple[int, ...]]) -> DecodeOutcome:
@@ -553,14 +518,14 @@ def gc_decode(received: str, params: GcParams, mode: str = "deletions") -> Decod
     except MalformedTail:
         return NoCandidate()
     gf = field(params.ell)
+    code = SystematicCode(gf, params.k_prime, params.c)
     parities = tuple(
         gf.from_bits(parity_bits[r * params.ell : (r + 1) * params.ell])
         for r in range(params.c)
     )
-    dec = _decoder(params.k, params.ell, params.c)
     found: dict[str, tuple[int, ...]] = {}
     for region, d_s in splits:
-        dec.scan(region, d_s, parities, mode, found)
+        _scan(region, params.k, code, d_s, parities, mode == "deletions", found)
     return _outcome(found)
 
 
@@ -578,14 +543,11 @@ def decode_with_parities(
         raise ValueError("received length inconsistent with mode")
     if len(parities) <= d:
         raise ValueError("need more than d parity symbols to decode d edits")
-    q = field(ell).q
-    if any(not 0 <= s < q for s in parities):
-        raise ValueError(f"parity symbols must lie in [0, {q})")
-    if -(-k // ell) + len(parities) > q:
-        raise ValueError(f"k' + {len(parities)} parities exceeds field size {q}")
-    dec = _decoder(k, ell, len(parities))
+    code = SystematicCode(field(ell), -(-k // ell), len(parities))  # checks k' + c <= q
+    if any(not 0 <= s < code.gf.q for s in parities):
+        raise ValueError(f"parity symbols must lie in [0, {code.gf.q})")
     found: dict[str, tuple[int, ...]] = {}
-    dec.scan(received, d, tuple(parities), mode, found)
+    _scan(received, k, code, d, parities, mode == "deletions", found)
     return _outcome(found)
 
 

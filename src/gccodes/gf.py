@@ -35,9 +35,11 @@ PRIMITIVE_POLYS = {
 class GF2m:
     """Arithmetic in GF(2^m) backed by exp/log tables.
 
-    The exp table is doubled so products of two logs can be looked up
-    without a modulo. Construction verifies that alpha generates the
-    whole multiplicative group, i.e. that the polynomial is primitive.
+    log[0] is 2(q-1), and exp holds two periods of alpha^i followed by
+    zeros up to index 4(q-1), so exp[log[a] + log[b]] is a*b for every a
+    and b, zero included, without a modulo or a branch. Construction
+    verifies that alpha generates the whole multiplicative group, i.e.
+    that the polynomial is primitive.
     """
 
     def __init__(self, m: int, primitive_poly: int | None = None):
@@ -56,8 +58,8 @@ class GF2m:
         self.poly = poly
 
         order = self.q - 1
-        exp = [0] * (2 * order)
-        log = [0] * self.q
+        exp = [0] * (4 * order + 1)
+        log = [2 * order] * self.q
         x = 1
         for i in range(order):
             if i and x == 1:
@@ -78,8 +80,6 @@ class GF2m:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:

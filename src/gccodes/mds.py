@@ -8,21 +8,20 @@ the leading parities: sum_s X_s * a_s^r = b_r for r < e, a_s = alpha^(p_s),
 a Vandermonde system on distinct nodes. Its inverse has the closed
 (Lagrange) form that Bjorck-Pereyra and Forney's erasure evaluation use:
 row t holds the coefficients of L_t(x) = prod_{s != t} (x + a_s)/(a_t + a_s),
-since sum_r [x^r]L_t * b_r = sum_s X_s * L_t(a_s) = X_t. It depends only on
-the field and the positions, not on k' or c, so `erasure_inverse` memoizes
-it per (field, positions); the guess scan solves one or two erasures inline
-and needs it only for three or more.
+since sum_r [x^r]L_t * b_r = sum_s X_s * L_t(a_s) = X_t. `erasure_inverse`
+builds it afresh per call: only `decode_erasures`, and through it the
+reference decoder `decode_case`, uses it. The guess scan in codec.py tests
+each guess with the erasure locator first and solves only the survivors,
+so it needs no inverse.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .gf import GF2m
 
 
-@lru_cache(maxsize=None)
 def erasure_inverse(gf: GF2m, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Inverse of the e x e system formed by parities 1..e at the given
     distinct erased systematic positions: X_t = sum_r inv[t][r] * b_r."""
@@ -64,9 +63,8 @@ class SystematicCode:
         exp, log = self.gf.exp, self.gf.log
         logs = self.logcol[r - 1]
         acc = 0
-        for j, s in enumerate(symbols):
-            if s:
-                acc ^= exp[log[s] + logs[j]]
+        for s, col in zip(symbols, logs):
+            acc ^= exp[log[s] + col]
         return acc
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
@@ -95,7 +93,6 @@ class SystematicCode:
         for t, row in enumerate(erasure_inverse(self.gf, erased)):
             acc = 0
             for a, b in zip(row, rhs):
-                if a and b:
-                    acc ^= exp[log[a] + log[b]]
+                acc ^= exp[log[a] + log[b]]
             out[erased[t]] = acc
         return out  # type: ignore[return-value]

@@ -48,6 +48,8 @@ class SyncConfig:
             raise ValueError("anchor_len must be positive")
         if self.mode == "gc" and self.delta_cap < 2:
             raise ValueError("delta_cap must be >= 2 in GC mode")
+        if not 1 <= self.hash_len <= 128:
+            raise ValueError("hash_len must be in [1, 128], the blake2b digest width")
 
     def c_init(self, d: int) -> int:
         return d + 1
@@ -284,6 +286,8 @@ def run_sync_trials(
 ) -> list[SyncStats]:
     """Random-instance trials; trial t depends only on (seed, t), so VT and
     GC runs with the same seed synchronize the same file pairs."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     cfg = config if config is not None else SyncConfig(mode=mode)
     seeds = [(seed << 32) + t for t in range(trials)]
     if workers <= 1:

@@ -69,6 +69,19 @@ def test_unknown_flag_exits_one(capsys):
     assert code == 1 and "error" in err
 
 
+def test_unwritable_out_path_exits_one(tmp_path, capsys):
+    src = tmp_path / "msg.txt"
+    src.write_text(MSG_A + "\n")
+    out = tmp_path / "missing" / "cw.txt"
+    code, _, err = run(["encode", *CODE_FLAGS, "--in", str(src), "--out", str(out)], capsys)
+    assert code == 1 and "error" in err
+
+
+def test_sync_without_trials_exits_one(capsys):
+    code, _, err = run(["sync", "--file-bits", "100", "--d", "2", "--trials", "0"], capsys)
+    assert code == 1 and "error" in err
+
+
 def test_corrupt_then_decode(tmp_path, capsys):
     cw = tmp_path / "cw.txt"
     out1 = tmp_path / "corrupted.txt"

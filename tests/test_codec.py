@@ -341,7 +341,9 @@ class TestGcDecode:
 
 def _check_against_reference(rng, k, ell, c, d, mode, seed):
     kp = -(-k // ell)
-    params = GcParams(k, ell, c, d)
+    # decode_case reads only k, ell and k' from its params, so delta = 1
+    # keeps them valid when d exceeds ell
+    params = GcParams(k, ell, c, 1)
     msg = format(rng.getrandbits(k), f"0{k}b")
     gf = field(ell)
     syms = [gf.from_bits(msg[i * ell : (i + 1) * ell].ljust(ell, "0")) for i in range(kp)]
@@ -392,6 +394,35 @@ class TestEngineAgainstReference:
             k, ell = rng.choice([(48, 5), (60, 5), (60, 6)])
             mode = ("deletions", "insertions")[t % 2]
             _check_against_reference(rng, k, ell, rng.choice([4, 5]), 3, mode, t)
+
+    def test_four_and_five_edits(self):
+        # later erased blocks sit past block 0, so the scan's prefix
+        # syndromes carry unerased runs between erased blocks
+        rng = random.Random(31)
+        for t in range(24):
+            d = 4 + t % 2
+            k, ell = rng.choice([(30, 5), (36, 5), (28, 4)])
+            mode = ("deletions", "insertions")[t // 2 % 2]
+            _check_against_reference(rng, k, ell, rng.randint(d + 1, 7), d, mode, t)
+
+    def test_more_edits_than_block_bits(self):
+        # d > ell: every block's deletion cap matters, not only the last one's
+        rng = random.Random(41)
+        for t in range(40):
+            k, ell, d = rng.choice(
+                [(6, 3, 4), (7, 3, 4), (9, 3, 4), (6, 3, 5), (12, 4, 7), (16, 4, 7)]
+            )
+            mode = ("deletions", "insertions")[t % 2]
+            _check_against_reference(rng, k, ell, d + 1, d, mode, t)
+
+    def test_single_block(self):
+        rng = random.Random(51)
+        for t in range(40):
+            ell = rng.choice([4, 5, 6])
+            k = rng.randint(4, ell)
+            d = rng.randint(1, 3)
+            mode = ("deletions", "insertions")[t % 2]
+            _check_against_reference(rng, k, ell, rng.randint(d + 1, 7), d, mode, t)
 
 
 class TestDecodeWithParities:

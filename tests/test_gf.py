@@ -68,6 +68,14 @@ def test_mul_matches_polynomial_oracle(m):
         assert gf.mul(a, b) == naive_mul(a, b, m, gf.poly)
 
 
+def test_raw_table_lookup_multiplies_zero_too():
+    # the codec multiplies as exp[log[a] + log[b]] with no zero guard
+    gf = field(4)
+    for a in range(gf.q):
+        for b in range(gf.q):
+            assert gf.exp[gf.log[a] + gf.log[b]] == gf.mul(a, b) == naive_mul(a, b, 4, gf.poly)
+
+
 def test_gf16_worked_values():
     gf = field(4)
     assert gf.add(14, 13) == 3

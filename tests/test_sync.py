@@ -47,6 +47,11 @@ def test_config_validation():
         SyncConfig(mode="gc", delta_cap=1)
     with pytest.raises(ValueError):
         SyncConfig(mode="nope")
+    for hash_len in (0, -3, 129):  # 0 would make every hash comparison match
+        with pytest.raises(ValueError):
+            SyncConfig(hash_len=hash_len)
+    assert SyncConfig(hash_len=1).hash_len == 1
+    assert SyncConfig(hash_len=128).hash_len == 128
     cfg = SyncConfig()
     assert (cfg.c_init(2), cfg.c_max(2)) == (3, 7)
 
@@ -144,3 +149,8 @@ def test_trials_harness_shares_instances_between_modes():
     assert row["trials"] == 4
     again = run_sync_trials(4000, 5, trials=4, mode="vt", seed=11)
     assert [s.bits_a_to_b for s in again] == [s.bits_a_to_b for s in vt]
+
+
+def test_trials_harness_rejects_no_trials():
+    with pytest.raises(ValueError):
+        run_sync_trials(100, 2, trials=0, mode="gc")
