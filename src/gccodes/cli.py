@@ -16,8 +16,8 @@ import sys
 
 from .channel import apply_edits, sample_plan
 from .codec import Failure, GcParams, Success, gc_decode, gc_encode
-from .experiments import CSV_FIELDS, estimate_pf, estimate_row, sweep
-from .sync import SYNC_CSV_FIELDS, SyncConfig, run_sync_trials, sync_row
+from .experiments import estimate_pf, estimate_row, sweep
+from .sync import SyncConfig, run_sync_trials, sync_row
 
 
 class CliError(Exception):
@@ -59,12 +59,12 @@ def _write_text(path: str | None, text: str) -> None:
             raise CliError(str(exc))
 
 
-def _write_rows(rows: list[dict], fields: tuple[str, ...], fmt: str, path: str | None) -> None:
+def _write_rows(rows: list[dict], fmt: str, path: str | None) -> None:
     if fmt == "json":
         _write_text(path, json.dumps(rows, indent=2) + "\n")
         return
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
     _write_text(path, buf.getvalue())
@@ -192,7 +192,7 @@ def _cmd_simulate(args) -> int:
     est = estimate_pf(
         _params(args), args.mode, args.scope, args.trials, args.seed, args.workers
     )
-    _write_rows([estimate_row(est)], CSV_FIELDS, args.format, args.out)
+    _write_rows([estimate_row(est)], args.format, args.out)
     return 0
 
 
@@ -205,7 +205,7 @@ def _cmd_sweep(args) -> int:
     ests = sweep(
         args.k, args.delta, ells, cs, args.trials, args.seed, args.mode, args.scope, args.workers
     )
-    _write_rows([estimate_row(e) for e in ests], CSV_FIELDS, args.format, args.out)
+    _write_rows([estimate_row(e) for e in ests], args.format, args.out)
     return 0
 
 
@@ -223,7 +223,7 @@ def _cmd_sync(args) -> int:
             args.file_bits, args.d, args.trials, mode, args.seed, cfg, args.workers
         )
         rows.append(sync_row(mode, args.file_bits, args.d, stats, args.seed))
-    _write_rows(rows, SYNC_CSV_FIELDS, args.format, args.out)
+    _write_rows(rows, args.format, args.out)
     return 0
 
 

@@ -14,22 +14,6 @@ from .codec import GcParams, NoCandidate, Success, gc_decode, gc_encode
 
 import random
 
-CSV_FIELDS = (
-    "k",
-    "ell",
-    "c",
-    "delta",
-    "scope",
-    "trials",
-    "failures",
-    "pf_hat",
-    "bound",
-    "redundancy",
-    "rate",
-    "seed",
-    "wall_time_ms",
-)
-
 
 @dataclass(frozen=True)
 class PfEstimate:

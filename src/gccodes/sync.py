@@ -1,13 +1,17 @@
 """Two-node file synchronization over a noiseless link.
 
 Node A holds file_a, node B holds file_b = file_a minus d deleted bits.
-Each round A sends one message per open segment and B answers. A segment
-with gap d is closed by a hash check (d=0), a VT syndrome (d=1), or, in GC
-mode, out-of-band MDS parities for 2 <= d <= delta_cap with one extra
-parity per retry round; anything else is narrowed by sending the segment's
-center bits as an anchor that B locates, splitting the segment in two.
-When a repair or split cannot be made, the segment falls back to a raw
+A segment with gap d is closed by a hash check (d=0), a VT syndrome (d=1),
+or, in GC mode, out-of-band MDS parities for 2 <= d <= delta_cap with one
+extra parity per retry round; anything else is narrowed by sending the
+segment's center bits as an anchor that B locates, splitting the segment in
+two. When a repair or split cannot be made, the segment falls back to a raw
 transfer, which is what guarantees exact synchronization.
+
+A segment's messages depend only on its own bits, so the round of a message
+is its depth in the segment tree: the whole file opens in round 1, an
+anchor's children open one round after it, and each retry parity or raw
+fallback comes one round after the message before it.
 
 Only payload bits are counted; per-message headers and segment ids are
 free. Parities cross the link bare (no repetition tail) because the link
@@ -58,17 +62,12 @@ class SyncConfig:
         return 2 * d + 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentPair:
     a_lo: int
     a_hi: int
     b_lo: int
     b_hi: int
-    state: str = "new"  # new | gc_wait | raw_due; closed pairs leave the worklist
-    c_cur: int = 0
-    ell: int = 0
-    parities: tuple[int, ...] = ()
-    a_hash: int = 0
 
     @property
     def a_len(self) -> int:
@@ -152,117 +151,89 @@ def anchor_split(
 
 def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
     """Simulate the protocol until every segment is closed and report round
-    and bit costs. success means B's reconstruction equals file_a exactly."""
+    and bit costs. success means B's reconstruction equals file_a exactly.
+
+    Each segment is followed to its end before the next one is taken from a
+    LIFO stack of (round, segment); children are pushed right first, so the
+    walk is a preorder of the segment tree, and one stable sort of the
+    ledger by round gives each round's messages in segment order."""
     if not subsequence_check(file_b, file_a):
         raise ModelViolation("file_b must be a subsequence of file_a")
 
+    hash_len = config.hash_len
     ledger: list[tuple[int, str, str, int]] = []
-    pieces: list[tuple[int, int, str]] = []
-    fallback = 0
-    rounds = 0
-    work = [SegmentPair(0, len(file_a), 0, len(file_b))]
+    pieces: list[tuple[int, str]] = []  # (a_lo, the bits B commits from there)
+    stack = [(1, SegmentPair(0, len(file_a), 0, len(file_b)))]
 
-    def commit(a_lo: int, a_hi: int, content: str) -> None:
-        if a_hi > a_lo:
-            pieces.append((a_lo, a_hi, content))
+    def settle(rnd: int, seg: SegmentPair, a_seg: str, candidate: str | None) -> None:
+        """Commit a candidate whose hash matches A's; otherwise A sends the
+        segment raw in the next round and B commits A's bits."""
+        if candidate is None or _digest(candidate, hash_len) != _digest(a_seg, hash_len):
+            ledger.append((rnd + 1, "a2b", "raw", seg.a_len))
+            candidate = a_seg
+        pieces.append((seg.a_lo, candidate))
 
-    def settle(seg: SegmentPair, candidate: str | None, a_hash: int) -> None:
-        """Commit a candidate whose hash matches A's, else fall back to raw."""
-        if candidate is not None and _digest(candidate, config.hash_len) == a_hash:
-            commit(seg.a_lo, seg.a_hi, candidate)
+    while stack:
+        rnd, seg = stack.pop()
+        a_seg = file_a[seg.a_lo : seg.a_hi]
+        b_seg = file_b[seg.b_lo : seg.b_hi]
+        d = seg.d
+
+        if d == 0:
+            ledger.append((rnd, "a2b", "hash", hash_len))
+            settle(rnd, seg, a_seg, b_seg)
+            continue
+
+        if d == 1:
+            ledger.append((rnd, "a2b", "vt_syndrome", _bits_for(seg.a_len + 1) + hash_len))
+            try:
+                candidate = vt_correct(b_seg, vt_syndrome(a_seg))
+            except NoConsistentInsertion:
+                candidate = None
+            settle(rnd, seg, a_seg, candidate)
+            continue
+
+        if config.mode == "gc" and d <= config.delta_cap:
+            c_max = config.c_max(d)
+            ell = _segment_ell(seg.a_len, c_max)
+            if ell is not None:
+                # c parities first, then one more per round while decoding fails
+                c = config.c_init(d)
+                ledger.append((rnd, "a2b", "gc_parities", c * ell + hash_len))
+                kp = -(-seg.a_len // ell)
+                symbols = [
+                    int(ch, 2) << (ell - len(ch))
+                    for ch in (a_seg[i * ell : (i + 1) * ell] for i in range(kp))
+                ]
+                parities = SystematicCode(field(ell), kp, c_max).encode(symbols)
+                outcome = decode_with_parities(b_seg, seg.a_len, ell, parities[:c])
+                while isinstance(outcome, Failure) and c < c_max:
+                    rnd += 1
+                    c += 1
+                    ledger.append((rnd, "a2b", "gc_parity", ell))
+                    outcome = decode_with_parities(b_seg, seg.a_len, ell, parities[:c])
+                settle(rnd, seg, a_seg, outcome.message if isinstance(outcome, Success) else None)
+                continue
+            # segment too large for the backing field: fall through to anchor
+
+        ledger.append((rnd, "a2b", "anchor", min(config.anchor_len, seg.a_len)))
+        split = anchor_split(file_a, file_b, seg, config)
+        ledger.append((rnd, "b2a", "anchor_reply", _bits_for(d + 2)))
+        if split is None:
+            settle(rnd, seg, a_seg, None)
         else:
-            seg.state = "raw_due"
-            nxt.append(seg)
+            left, right = split
+            pieces.append((left.a_hi, file_a[left.a_hi : right.a_lo]))
+            stack.extend((rnd + 1, child) for child in (right, left) if child.a_len > 0)
 
-    def try_gc(seg: SegmentPair, b_seg: str) -> None:
-        """Decode with the first c_cur parities; a Failure waits for one more
-        parity until c_max is reached."""
-        outcome = decode_with_parities(b_seg, seg.a_len, seg.ell, seg.parities[: seg.c_cur])
-        if isinstance(outcome, Failure) and seg.c_cur < config.c_max(seg.d):
-            seg.state = "gc_wait"
-            nxt.append(seg)
-        else:
-            settle(seg, outcome.message if isinstance(outcome, Success) else None, seg.a_hash)
-
-    while work:
-        rounds += 1
-        nxt: list[SegmentPair] = []
-        for seg in work:
-            a_seg = file_a[seg.a_lo : seg.a_hi]
-            b_seg = file_b[seg.b_lo : seg.b_hi]
-            d = seg.d
-
-            if seg.state == "raw_due":
-                ledger.append((rounds, "a2b", "raw", seg.a_len))
-                fallback += seg.a_len
-                commit(seg.a_lo, seg.a_hi, a_seg)
-                continue
-
-            if seg.state == "gc_wait":
-                ledger.append((rounds, "a2b", "gc_parity", seg.ell))
-                seg.c_cur += 1
-                try_gc(seg, b_seg)
-                continue
-
-            if d == 0:
-                ledger.append((rounds, "a2b", "hash", config.hash_len))
-                settle(seg, b_seg, _digest(a_seg, config.hash_len))
-                continue
-
-            if d == 1:
-                cost = _bits_for(seg.a_len + 1) + config.hash_len
-                ledger.append((rounds, "a2b", "vt_syndrome", cost))
-                try:
-                    candidate = vt_correct(b_seg, vt_syndrome(a_seg))
-                except NoConsistentInsertion:
-                    candidate = None
-                settle(seg, candidate, _digest(a_seg, config.hash_len))
-                continue
-
-            if config.mode == "gc" and d <= config.delta_cap:
-                ell = _segment_ell(seg.a_len, config.c_max(d))
-                if ell is not None:
-                    seg.c_cur = config.c_init(d)
-                    cost = seg.c_cur * ell + config.hash_len
-                    ledger.append((rounds, "a2b", "gc_parities", cost))
-                    kp = -(-seg.a_len // ell)
-                    symbols = [
-                        int(ch, 2) << (ell - len(ch))
-                        for ch in (a_seg[i * ell : (i + 1) * ell] for i in range(kp))
-                    ]
-                    code = SystematicCode(field(ell), kp, config.c_max(d))
-                    seg.parities = code.encode(symbols)
-                    seg.ell = ell
-                    seg.a_hash = _digest(a_seg, config.hash_len)
-                    try_gc(seg, b_seg)
-                    continue
-                # segment too large for the backing field: fall through to anchor
-
-            L = min(config.anchor_len, seg.a_len)
-            ledger.append((rounds, "a2b", "anchor", L))
-            split = anchor_split(file_a, file_b, seg, config)
-            ledger.append((rounds, "b2a", "anchor_reply", _bits_for(d + 2)))
-            if split is None:
-                seg.state = "raw_due"
-                nxt.append(seg)
-            else:
-                left, right = split
-                commit(left.a_hi, right.a_lo, file_a[left.a_hi : right.a_lo])
-                for child in (left, right):
-                    if child.a_len > 0:
-                        nxt.append(child)
-        work = nxt
-
-    pieces.sort(key=lambda p: p[0])
-    reconstruction = "".join(content for _, _, content in pieces)
-    a2b = sum(bits for _, direction, _, bits in ledger if direction == "a2b")
-    b2a = sum(bits for _, direction, _, bits in ledger if direction == "b2a")
+    ledger.sort(key=lambda entry: entry[0])
+    pieces.sort(key=lambda piece: piece[0])
     return SyncStats(
-        rounds=rounds,
-        bits_a_to_b=a2b,
-        bits_b_to_a=b2a,
-        success=reconstruction == file_a,
-        fallback_bits=fallback,
+        rounds=ledger[-1][0],
+        bits_a_to_b=sum(bits for _, direction, _, bits in ledger if direction == "a2b"),
+        bits_b_to_a=sum(bits for _, direction, _, bits in ledger if direction == "b2a"),
+        success="".join(content for _, content in pieces) == file_a,
+        fallback_bits=sum(bits for _, _, kind, bits in ledger if kind == "raw"),
         ledger=tuple(ledger),
     )
 
@@ -319,15 +290,3 @@ def sync_row(mode: str, file_bits: int, d: int, stats: list[SyncStats], seed: in
         "seed": seed,
     }
 
-
-SYNC_CSV_FIELDS = (
-    "mode",
-    "file_bits",
-    "d",
-    "trials",
-    "mean_rounds",
-    "mean_cost_bits",
-    "mean_fallback_bits",
-    "success_rate",
-    "seed",
-)

@@ -45,36 +45,11 @@ def vt_correct(y: str, syndrome: VtSyndrome) -> str:
 
     if s <= w:
         # insert '0' so that exactly s ones lie to its right
-        if s == 0:
-            idx = len(y)
-        else:
-            ones = 0
-            idx = -1
-            for i in range(len(y) - 1, -1, -1):
-                if y[i] == "1":
-                    ones += 1
-                    if ones == s:
-                        idx = i
-                        break
-            if idx < 0:
-                raise NoConsistentInsertion(f"syndrome {syndrome} unreachable from {y!r}")
+        idx = len(y.rsplit("1", s)[0])
         x = y[:idx] + "0" + y[idx:]
     else:
         # insert '1' after exactly s - w - 1 zeros
-        zeros_needed = s - w - 1
-        if zeros_needed == 0:
-            idx = 0
-        else:
-            zeros = 0
-            idx = -1
-            for i, b in enumerate(y):
-                if b == "0":
-                    zeros += 1
-                    if zeros == zeros_needed:
-                        idx = i + 1
-                        break
-            if idx < 0:
-                raise NoConsistentInsertion(f"syndrome {syndrome} unreachable from {y!r}")
+        idx = len(y) - len(y.split("0", s - w - 1)[-1])
         x = y[:idx] + "1" + y[idx:]
 
     if vt_syndrome(x).a != syndrome.a:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -125,6 +126,59 @@ def test_rounds_stay_bounded():
         stats = run_sync(fa, fb, SyncConfig(mode=mode))
         assert stats.success
         assert stats.rounds <= 20
+
+
+def _low_entropy_file(kind, n):
+    if kind == "constant":
+        return "1" * n
+    if kind == "runs":
+        rng = random.Random(n)
+        out, bit = [], "1"
+        while len(out) < n:
+            out.extend(bit * rng.randrange(1, 300))
+            bit = "0" if bit == "1" else "1"
+        return "".join(out[:n])
+    unit = "01101"[: int(kind[-1])]  # period2 .. period5
+    return (unit * n)[:n]
+
+
+@pytest.mark.parametrize("mode", ["vt", "gc"])
+@pytest.mark.parametrize("d", [2, 3, 7])
+@pytest.mark.parametrize(
+    "kind", ["constant", "period2", "period3", "period4", "period5", "runs"]
+)
+def test_low_entropy_files_synchronize_exactly(kind, d, mode):
+    # anchors are often ambiguous here, so the raw fallback carries the load
+    fa = _low_entropy_file(kind, 3000)
+    positions = tuple(sorted(random.Random(kind).sample(range(1, 3001), d)))
+    stats = run_sync(fa, apply_edits(fa, EditPlan("deletions", positions)), SyncConfig(mode=mode))
+    assert stats.success
+    rounds = [r for r, _, _, _ in stats.ledger]
+    assert rounds == sorted(rounds)
+    assert stats.rounds == max(rounds)
+    a2b = sum(b for _, d, _, b in stats.ledger if d == "a2b")
+    b2a = sum(b for _, d, _, b in stats.ledger if d == "b2a")
+    assert (a2b, b2a) == (stats.bits_a_to_b, stats.bits_b_to_a)
+    assert stats.fallback_bits == sum(b for _, _, kind, b in stats.ledger if kind == "raw")
+
+
+@pytest.mark.parametrize(
+    "mode, totals, ledger_sha256",
+    [
+        ("vt", (8, 1739, 40, 888), "e63f9f1fba4e53d291adc99e31bdbf5dfe7ede1f116c13d7813c0c716b50b5cc"),
+        ("gc", (5, 675, 26, 0), "461051708706e44cc3861f96de248e4c4141cac10f296f4ade88c6c3243f275a"),
+    ],
+)
+def test_golden_ledger(mode, totals, ledger_sha256):
+    # pins every message's round, direction, kind and size, in order
+    fa = rand_bits(20000, 8)
+    fb = apply_edits(
+        fa, EditPlan("deletions", tuple(sorted(random.Random(9).sample(range(1, 20001), 12))))
+    )
+    stats = run_sync(fa, fb, SyncConfig(mode=mode))
+    assert stats.success
+    assert (stats.rounds, stats.bits_a_to_b, stats.bits_b_to_a, stats.fallback_bits) == totals
+    assert hashlib.sha256(repr(stats.ledger).encode()).hexdigest() == ledger_sha256
 
 
 def test_random_small_files_synchronize_exactly():
