@@ -1,7 +1,12 @@
-"""Seedable deletion/insertion channels with explicit edit plans."""
+"""Seedable deletion/insertion channels with explicit edit plans, and the
+one runner behind every Monte Carlo harness: trial t of a run with seed s
+gets its own seed s * 2^32 + t, so its draws depend only on (s, t) and the
+results are the same for any number of worker processes."""
 
 from __future__ import annotations
 
+import concurrent.futures  # loads multiprocessing only when a pool is first built
+import os
 import random
 from dataclasses import dataclass
 
@@ -94,3 +99,19 @@ def _sample_plan(
     if kind == "insertions":
         bits = tuple("1" if rng.getrandbits(1) else "0" for _ in positions)
     return EditPlan(kind, positions, bits, scope)
+
+
+def run_trials(trial, trials: int, seed: int, workers: int) -> list:
+    """trial(seed * 2^32 + t) for t in range(trials), in that order.
+
+    Uses at most min(workers, trials, cpu count) processes, one chunk of
+    seeds each, and runs serially when that is one or fewer; `trial` must
+    be picklable (a module-level function or a partial of one)."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    seeds = [(seed << 32) + t for t in range(trials)]
+    procs = min(workers, trials, os.cpu_count() or 1)
+    if procs <= 1:
+        return [trial(s) for s in seeds]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=procs) as pool:
+        return list(pool.map(trial, seeds, chunksize=-(-trials // procs)))

@@ -20,6 +20,7 @@ Bit strings are plain Python str objects over '0'/'1'.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, xor
@@ -136,16 +137,20 @@ def gc_encode(message: str, params: GcParams) -> str:
     if len(message) != params.k:
         raise ValueError(f"message must be {params.k} bits, got {len(message)}")
     ell = params.ell
-    gf = field(ell)
-    symbols = []
-    for i in range(params.k_prime):
-        chunk = message[i * ell : (i + 1) * ell]
-        # the last block is padded with zeros on the right for mapping only
-        symbols.append(int(chunk, 2) << (ell - len(chunk)))
-    code = SystematicCode(gf, params.k_prime, params.c)
-    parity_bits = "".join(gf.to_bits(p) for p in code.encode(symbols))
+    parity_bits = "".join(format(p, f"0{ell}b") for p in _block_parities(message, ell, params.c))
     tail = "".join(b * (params.delta + 1) for b in parity_bits)
     return message + tail
+
+
+def _block_parities(bits: str, ell: int, c: int) -> list[int]:
+    """The c MDS parity symbols of `bits` read as ell-bit blocks; the short
+    last block is padded with zeros on the right for mapping only."""
+    chunks = [bits[i : i + ell] for i in range(0, len(bits), ell)]
+    symbols = [int(ch, 2) << (ell - len(ch)) for ch in chunks]
+    return SystematicCode(field(ell), len(symbols), c).encode(symbols)
+
+
+_RUNS = re.compile("0+|1+")
 
 
 def _rep_decode_del(remnant: str, rep: int, needed: int) -> str | None:
@@ -156,22 +161,8 @@ def _rep_decode_del(remnant: str, rep: int, needed: int) -> str | None:
     recovers the bit values exactly. Returns None unless the runs account
     for exactly `needed` decoded bits (the split being tried is then
     inconsistent)."""
-    out = []
-    total = 0
-    i = 0
-    n = len(remnant)
-    while i < n:
-        b = remnant[i]
-        j = i + 1
-        while j < n and remnant[j] == b:
-            j += 1
-        copies = (j - i + rep - 1) // rep
-        total += copies
-        if total > needed:
-            return None
-        out.append(b * copies)
-        i = j
-    return "".join(out) if total == needed else None
+    out = "".join(r[0] * -(-len(r) // rep) for r in _RUNS.findall(remnant))
+    return out if len(out) == needed else None
 
 
 def _rep_decode_ins(remnant: str, rep: int, groups: int) -> str | None:

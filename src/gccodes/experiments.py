@@ -1,18 +1,19 @@
 """Monte Carlo failure-rate estimation, the analytic failure bound, chunk
 length / parity count sweeps, and the exhaustive preimage census behind the
-decoder's collision bound."""
+decoder's collision bound. Trials run through `channel.run_trials`, so an
+estimate is the same for any worker count."""
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-
-from .channel import _sample_plan, apply_edits
-from .codec import GcParams, NoCandidate, Success, gc_decode, gc_encode
-
 import random
+import time
+from collections import Counter
+from dataclasses import dataclass
+from functools import partial
+
+from .channel import _sample_plan, apply_edits, run_trials
+from .codec import GcParams, Success, gc_decode, gc_encode
 
 
 @dataclass(frozen=True)
@@ -32,35 +33,17 @@ class PfEstimate:
         return self.failures / self.trials
 
 
-def _trial_seed(seed: int, t: int) -> int:
-    return (seed << 32) + t
-
-
-def _run_trials(
-    params: GcParams, kind: str, scope: str, seed: int, lo: int, hi: int, edits: int
-) -> tuple[int, int, int]:
-    """Trials [lo, hi): returns (failures, wrong_successes, no_candidates).
-    Each trial depends only on (seed, index), so any partition over workers
-    sums to the same totals."""
-    k = params.k
-    n = params.n
-    failures = wrong = nocand = 0
-    for t in range(lo, hi):
-        rng = random.Random(_trial_seed(seed, t))
-        message = format(rng.getrandbits(k), f"0{k}b")
-        codeword = gc_encode(message, params)
-        plan = _sample_plan(rng, n, edits, kind, scope, k)
-        received = apply_edits(codeword, plan)
-        outcome = gc_decode(received, params, kind)
-        if isinstance(outcome, Success):
-            if outcome.message != message:
-                wrong += 1
-        elif isinstance(outcome, NoCandidate):
-            nocand += 1
-            failures += 1
-        else:
-            failures += 1
-    return failures, wrong, nocand
+def _trial(params: GcParams, kind: str, scope: str, edits: int, trial_seed: int) -> str:
+    """One encode, channel and decode: the outcome's class name, or "wrong"
+    for a Success with the wrong message."""
+    rng = random.Random(trial_seed)
+    message = format(rng.getrandbits(params.k), f"0{params.k}b")
+    codeword = gc_encode(message, params)
+    plan = _sample_plan(rng, params.n, edits, kind, scope, params.k)
+    outcome = gc_decode(apply_edits(codeword, plan), params, kind)
+    if isinstance(outcome, Success) and outcome.message != message:
+        return "wrong"
+    return type(outcome).__name__
 
 
 def estimate_pf(
@@ -76,29 +59,16 @@ def estimate_pf(
     edits (overridable via `edits`), decode, and count Failure plus
     NoCandidate outcomes as failures. Results are identical for any
     worker count."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     d = params.delta if edits is None else edits
     if not 0 <= d <= params.delta:
         raise ValueError("edit count must be in [0, delta]")
     start = time.perf_counter()
-    if workers <= 1:
-        failures, wrong, nocand = _run_trials(params, kind, scope, seed, 0, trials, d)
-    else:
-        step = -(-trials // workers)
-        spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _run_trials,
-                    *zip(*[(params, kind, scope, seed, lo, hi, d) for lo, hi in spans]),
-                )
-            )
-        failures = sum(p[0] for p in parts)
-        wrong = sum(p[1] for p in parts)
-        nocand = sum(p[2] for p in parts)
+    counts = Counter(run_trials(partial(_trial, params, kind, scope, d), trials, seed, workers))
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return PfEstimate(params, kind, scope, trials, failures, wrong, nocand, seed, wall_ms)
+    failures = counts["Failure"] + counts["NoCandidate"]
+    return PfEstimate(
+        params, kind, scope, trials, failures, counts["wrong"], counts["NoCandidate"], seed, wall_ms
+    )
 
 
 def theoretical_bound(params: GcParams) -> float:

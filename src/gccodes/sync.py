@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
-from .channel import _sample_plan, apply_edits
-from .codec import Failure, Success, decode_with_parities, subsequence_check
-from .gf import field
-from .mds import SystematicCode
+from .channel import _sample_plan, apply_edits, run_trials
+from .codec import Failure, Success, _block_parities, decode_with_parities, subsequence_check
 from .vt import NoConsistentInsertion, vt_correct, vt_syndrome
 
 MODES = ("vt", "gc")
@@ -200,12 +198,7 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
                 # c parities first, then one more per round while decoding fails
                 c = config.c_init(d)
                 ledger.append((rnd, "a2b", "gc_parities", c * ell + hash_len))
-                kp = -(-seg.a_len // ell)
-                symbols = [
-                    int(ch, 2) << (ell - len(ch))
-                    for ch in (a_seg[i * ell : (i + 1) * ell] for i in range(kp))
-                ]
-                parities = SystematicCode(field(ell), kp, c_max).encode(symbols)
+                parities = _block_parities(a_seg, ell, c_max)
                 outcome = decode_with_parities(b_seg, seg.a_len, ell, parities[:c])
                 while isinstance(outcome, Failure) and c < c_max:
                     rnd += 1
@@ -238,12 +231,11 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
     )
 
 
-def _sync_trial(file_bits: int, d: int, mode: str, config: SyncConfig, trial_seed: int) -> SyncStats:
+def _sync_trial(file_bits: int, d: int, config: SyncConfig, trial_seed: int) -> SyncStats:
     rng = random.Random(trial_seed)
     file_a = format(rng.getrandbits(file_bits), f"0{file_bits}b")
     plan = _sample_plan(rng, file_bits, d, "deletions", "whole", None)
-    file_b = apply_edits(file_a, plan)
-    return run_sync(file_a, file_b, replace(config, mode=mode))
+    return run_sync(file_a, apply_edits(file_a, plan), config)
 
 
 def run_sync_trials(
@@ -257,23 +249,10 @@ def run_sync_trials(
 ) -> list[SyncStats]:
     """Random-instance trials; trial t depends only on (seed, t), so VT and
     GC runs with the same seed synchronize the same file pairs."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    cfg = config if config is not None else SyncConfig(mode=mode)
-    seeds = [(seed << 32) + t for t in range(trials)]
-    if workers <= 1:
-        return [_sync_trial(file_bits, d, mode, cfg, s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(
-                _sync_trial,
-                [file_bits] * trials,
-                [d] * trials,
-                [mode] * trials,
-                [cfg] * trials,
-                seeds,
-            )
-        )
+    if file_bits < 1:
+        raise ValueError("file_bits must be positive")
+    cfg = replace(config or SyncConfig(), mode=mode)
+    return run_trials(partial(_sync_trial, file_bits, d, cfg), trials, seed, workers)
 
 
 def sync_row(mode: str, file_bits: int, d: int, stats: list[SyncStats], seed: int) -> dict:

@@ -1,8 +1,11 @@
 import math
+import os
 
 import pytest
 
-from gccodes import EditPlan, Success, apply_edits, gc_decode, sample_plan
+import gccodes.channel
+from gccodes import EditPlan, GcParams, Success, apply_edits, estimate_pf, gc_decode, sample_plan
+from gccodes.sync import run_sync_trials
 
 from vectors import CODEWORD_A, MSG_A, PARAMS_16, RECEIVED_A
 
@@ -81,3 +84,45 @@ def test_position_frequencies_uniform():
     sigma = math.sqrt(0.1 * 0.9 / samples)
     for c in counts:
         assert abs(c / samples - 0.1) < 5 * sigma
+
+
+def test_run_trials_seeds_in_order():
+    run_trials = gccodes.channel.run_trials
+    assert run_trials(str, 3, 2, workers=1) == [str((2 << 32) + t) for t in range(3)]
+    with pytest.raises(ValueError):
+        run_trials(str, 0, 2, workers=1)
+
+
+def test_pool_is_bounded_by_trials_and_cpus(monkeypatch):
+    """A huge --workers value must not size the pool; the stub pool maps in
+    this process, so no worker process is started."""
+    built = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, it, chunksize=1):
+            return map(fn, it)
+
+    monkeypatch.setattr(gccodes.channel.concurrent.futures, "ProcessPoolExecutor", StubPool)
+    cpus = os.cpu_count() or 1
+    p = GcParams(64, 6, 3, 2)
+    est = estimate_pf(p, trials=3, seed=4, workers=10**6)
+    assert all(n <= min(3, cpus) for n in built)  # vacuous on one CPU: no pool at all
+    built.clear()
+    stats = run_sync_trials(2000, 3, trials=2, mode="gc", seed=4, workers=10**6)
+    assert all(n <= min(2, cpus) for n in built)
+    serial = estimate_pf(p, trials=3, seed=4, workers=1)
+    assert (est.failures, est.wrong_successes, est.no_candidates) == (
+        serial.failures,
+        serial.wrong_successes,
+        serial.no_candidates,
+    )
+    assert stats == run_sync_trials(2000, 3, trials=2, mode="gc", seed=4, workers=1)

@@ -82,6 +82,11 @@ def test_sync_without_trials_exits_one(capsys):
     assert code == 1 and "error" in err
 
 
+def test_sync_empty_file_exits_one(capsys):
+    code, _, err = run(["sync", "--file-bits", "0", "--d", "0"], capsys)
+    assert code == 1 and "error" in err
+
+
 def test_corrupt_then_decode(tmp_path, capsys):
     cw = tmp_path / "cw.txt"
     out1 = tmp_path / "corrupted.txt"

@@ -208,3 +208,14 @@ def test_trials_harness_shares_instances_between_modes():
 def test_trials_harness_rejects_no_trials():
     with pytest.raises(ValueError):
         run_sync_trials(100, 2, trials=0, mode="gc")
+
+
+@pytest.mark.parametrize("mode", ["vt", "gc"])
+def test_trials_harness_pool_matches_serial(mode):
+    serial = run_sync_trials(4000, 5, trials=4, mode=mode, seed=11, workers=1)
+    assert run_sync_trials(4000, 5, trials=4, mode=mode, seed=11, workers=2) == serial
+
+
+def test_trials_harness_rejects_empty_file():
+    with pytest.raises(ValueError):
+        run_sync_trials(0, 0, 1, "gc")
