@@ -88,6 +88,14 @@ def _add_io_flags(p):
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+def _add_run_flags(p, trials):
+    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="gccodes")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -111,11 +119,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="Monte Carlo failure-rate estimate")
     _add_code_flags(p, with_mode=True)
     p.add_argument("--scope", choices=("whole", "systematic"), default="whole")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
+    _add_run_flags(p, 10000)
 
     p = sub.add_parser("sweep", help="failure-rate sweep over ell and c grids")
     p.add_argument("--k", type=int, required=True)
@@ -124,24 +128,16 @@ def build_parser() -> _Parser:
     p.add_argument("--c-grid", required=True, help="comma-separated parity counts")
     p.add_argument("--mode", choices=("deletions", "insertions"), default="deletions")
     p.add_argument("--scope", choices=("whole", "systematic"), default="whole")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
+    _add_run_flags(p, 10000)
 
     p = sub.add_parser("sync", help="two-node synchronization simulation")
     p.add_argument("--file-bits", type=int, required=True)
     p.add_argument("--d", type=int, required=True, help="number of deleted bits")
-    p.add_argument("--trials", type=int, default=100)
     p.add_argument("--mode", choices=("vt", "gc", "both"), default="both")
     p.add_argument("--anchor-len", type=int, default=25)
     p.add_argument("--delta-cap", type=int, default=2)
     p.add_argument("--hash-len", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
+    _add_run_flags(p, 100)
 
     return parser
 
@@ -211,18 +207,19 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_sync(args) -> int:
     modes = ("vt", "gc") if args.mode == "both" else (args.mode,)
+    # every config is validated before the first trial runs
+    cfgs = [
+        SyncConfig(
+            mode, anchor_len=args.anchor_len, delta_cap=args.delta_cap, hash_len=args.hash_len
+        )
+        for mode in modes
+    ]
     rows = []
-    for mode in modes:
-        cfg = SyncConfig(
-            mode=mode,
-            anchor_len=args.anchor_len,
-            delta_cap=args.delta_cap,
-            hash_len=args.hash_len,
-        )
+    for cfg in cfgs:
         stats = run_sync_trials(
-            args.file_bits, args.d, args.trials, mode, args.seed, cfg, args.workers
+            args.file_bits, args.d, args.trials, cfg.mode, args.seed, cfg, args.workers
         )
-        rows.append(sync_row(mode, args.file_bits, args.d, stats, args.seed))
+        rows.append(sync_row(cfg.mode, args.file_bits, args.d, stats, args.seed))
     _write_rows(rows, args.format, args.out)
     return 0
 

@@ -11,9 +11,11 @@ before any solve), and only then are the erased blocks solved and checked
 for consistency (as a supersequence or subsequence) with the bits actually
 received for them. The decoder reports success only when all surviving
 guesses agree on one message, so it can fail to decode but never decodes
-wrongly. `decode_case` is the independent single-guess reference: it
-solves every guess with `mds.erasure_inverse` and checks the parities
-afterwards.
+wrongly. The window test and the solve are both `mds.solve_erasures`.
+`decode_case` is the independent single-guess reference: it takes one
+guess, erasure-decodes it through `SystematicCode.decode_erasures` (the
+same solver, given only the leading parities) and checks the unused
+parities afterwards by evaluating them directly.
 
 Bit strings are plain Python str objects over '0'/'1'.
 """
@@ -27,7 +29,7 @@ from operator import add, xor
 from typing import Iterator, Sequence
 
 from .gf import field
-from .mds import SystematicCode
+from .mds import SystematicCode, locator, solve_erasures
 
 MODES = ("deletions", "insertions")
 
@@ -275,12 +277,6 @@ def _prefix_tables(region: str, nlens: list[int], d: int, logcol, gf, sign: int)
     return tables
 
 
-def _times_root(P: list[int], i: int, gf) -> list[int]:
-    """Coefficients (lowest degree first) of P(x) * (x + alpha^i)."""
-    exp, log = gf.exp, gf.log
-    return [a ^ exp[i + log[b]] for a, b in zip([0] + P, P + [0])]
-
-
 def _window(lp: list[int], rows: list[list[int]], m: int, gf) -> list[int]:
     """Elementwise sum_t P_t * rows[m + t] for a monic P given by its
     coefficient logs `lp`."""
@@ -318,7 +314,6 @@ def _scan(
     """
     gf = code.gf
     exp, log = gf.exp, gf.log
-    order = gf.q - 1
     ell = gf.m
     kp = code.k_prime
     cn = len(p)
@@ -341,34 +336,11 @@ def _scan(
         return kp - 1 if v <= ell else 0
 
     def accept(b: list[int], entries: tuple[tuple[int, int], ...]) -> None:
-        """Check every window with the full locator, solve the erased
-        symbols by Newton elimination, then rebuild and record."""
-        locs = [[1]]  # locs[t] = locator of the first t erased blocks
-        for i, _ in entries:
-            locs.append(_times_root(locs[-1], i, gf))
-        z = len(entries)
-        lp = [log[v] for v in locs[z]]
-        for m in range(cn - z):
-            acc = 0
-            for lt, x in zip(lp, b[m:]):
-                acc ^= exp[lt + log[x]]
-            if acc:
-                return
-        b = b[:z]
-        X = [0] * z
-        for t in range(z - 1, -1, -1):
-            # locs[t] vanishes at the blocks before t, and the blocks after
-            # t are already taken out of b
-            i = entries[t][0]
-            num = den = 0
-            for coef, x in zip(locs[t], b):
-                num ^= exp[log[coef] + log[x]]
-            for coef in reversed(locs[t]):
-                den = exp[log[den] + i] ^ coef
-            x = X[t] = exp[log[num] + order - log[den]]
-            for r in range(t):
-                b[r] ^= x
-                x = exp[log[x] + i]
+        """Check every window and solve the erased symbols, then rebuild
+        and record."""
+        X = solve_erasures(gf, [i for i, _ in entries], b)
+        if X is None:
+            return
         msg = _rebuild(region, ell, nlens, entries, X, deletions)
         if msg is not None:
             dense = [0] * kp
@@ -387,23 +359,22 @@ def _scan(
             accept([row[j] for row in last[0]], ((j, d),))
 
     # erased-block prefixes, each leaving at least two edits for its final
-    # pair: (locator P, shift s after it, first free block lo, terms K_r of
-    # the unerased blocks before lo, per-block edits)
-    work = [([1], 0, 0, [0] * cn, ())]
+    # pair: (shift s after it, first free block lo, terms K_r of the
+    # unerased blocks before lo, per-block edits)
+    work = [(0, 0, [0] * cn, ())]
     while work:
-        P, s, lo, K, entries = work.pop()
+        s, lo, K, entries = work.pop()
         e = d - s
         Ts = T[s]
         if e > 2:
             vmax = min(e - 2, ell) if deletions else e - 2
             for i in range(lo, kp - 2):
                 Ki = [kr ^ ts[lo] ^ ts[i] for kr, ts in zip(K, Ts)]
-                Pi = _times_root(P, i, gf)
                 for v in range(1, vmax + 1):
-                    work.append((Pi, s + v, i + 1, Ki, entries + ((i, v),)))
+                    work.append((s + v, i + 1, Ki, entries + ((i, v),)))
 
-        lp = [log[v] for v in P]
-        rows = len(P) + 2  # window 0 of the full locator reads b_0 .. b_(deg P + 2)
+        lp = [log[v] for v in locator(gf, [i for i, _ in entries])]  # prefix locator P
+        rows = len(lp) + 2  # window 0 of the full locator reads b_0 .. b_(deg P + 2)
         for w in range(1, e):
             u = e - w
             jtop = top(u)
@@ -508,11 +479,9 @@ def gc_decode(received: str, params: GcParams, mode: str = "deletions") -> Decod
         parity_bits, splits = _recover_parities(received, params, mode)
     except MalformedTail:
         return NoCandidate()
-    gf = field(params.ell)
-    code = SystematicCode(gf, params.k_prime, params.c)
+    code = SystematicCode(field(params.ell), params.k_prime, params.c)
     parities = tuple(
-        gf.from_bits(parity_bits[r * params.ell : (r + 1) * params.ell])
-        for r in range(params.c)
+        int(parity_bits[r * params.ell : (r + 1) * params.ell], 2) for r in range(params.c)
     )
     found: dict[str, tuple[int, ...]] = {}
     for region, d_s in splits:

@@ -130,6 +130,8 @@ def gamma_census(
     has size 1."""
     if k > 20:
         raise ValueError("census is exhaustive over 2^k messages; keep k <= 20")
+    if ell < 1:
+        raise ValueError("ell must be positive")
     if k % ell:
         raise ValueError("census assumes ell divides k")
     kp = k // ell

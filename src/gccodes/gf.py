@@ -1,9 +1,11 @@
-"""GF(2^m) arithmetic for 2 <= m <= 16.
+"""Log/antilog tables of GF(2^m) for 2 <= m <= 16.
 
 Field elements are plain ints in [0, 2^m). Bit i of the int is the
 coefficient of alpha^i in the polynomial basis, where alpha (the element
-with value 2) is a primitive element of the field. Multiplication and
-inversion go through log/antilog tables, which are small for m <= 16.
+with value 2) is a primitive element of the field. Addition is XOR, and
+every product in the library is the table lookup exp[log[a] + log[b]];
+a quotient a/b is exp[log[a] + (q-1) - log[b]]. The tables are small for
+m <= 16.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ PRIMITIVE_POLYS = {
 
 
 class GF2m:
-    """Arithmetic in GF(2^m) backed by exp/log tables.
+    """The exp/log tables of GF(2^m) under PRIMITIVE_POLYS[m].
 
     log[0] is 2(q-1), and exp holds two periods of alpha^i followed by
     zeros up to index 4(q-1), so exp[log[a] + log[b]] is a*b for every a
@@ -42,16 +44,10 @@ class GF2m:
     that the polynomial is primitive.
     """
 
-    def __init__(self, m: int, primitive_poly: int | None = None):
+    def __init__(self, m: int):
         if not 2 <= m <= 16:
             raise ValueError(f"extension degree must be in [2, 16], got {m}")
-        poly = PRIMITIVE_POLYS[m] if primitive_poly is None else primitive_poly
-        if not (poly >> m) & 1:
-            raise ValueError(f"polynomial 0b{poly:b} does not have degree {m}")
-        if poly >> (m + 1):
-            raise ValueError(f"polynomial 0b{poly:b} has degree above {m}")
-        if not poly & 1:
-            raise ValueError("primitive polynomial needs a nonzero constant term")
+        poly = PRIMITIVE_POLYS[m]
 
         self.m = m
         self.q = 1 << m
@@ -74,41 +70,6 @@ class GF2m:
             raise ValueError(f"0b{poly:b} is not irreducible over GF(2)")
         self.exp = exp
         self.log = log
-
-    def add(self, a: int, b: int) -> int:
-        """Addition (= subtraction) is XOR in characteristic 2."""
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; zero has none."""
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse in GF(2^m)")
-        return self.exp[self.q - 1 - self.log[a]]
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e with a**0 = 1 (including 0**0 = 1)."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        return self.exp[(self.log[a] * e) % (self.q - 1)]
-
-    def from_bits(self, bits: str) -> int:
-        """Map an m-bit string to a symbol, leftmost bit most significant."""
-        if len(bits) != self.m:
-            raise ValueError(f"expected {self.m} bits, got {len(bits)}")
-        return int(bits, 2)
-
-    def to_bits(self, value: int) -> str:
-        """Inverse of from_bits."""
-        if not 0 <= value < self.q:
-            raise ValueError(f"value {value} out of range for GF(2^{self.m})")
-        return format(value, f"0{self.m}b")
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, poly=0b{self.poly:b})"

@@ -1,18 +1,17 @@
-"""Systematic (k' + c, k') erasure code over GF(2^ell).
+"""Systematic (k' + c, k') erasure code over GF(2^ell), and its one
+erasure solver.
 
 Parity r (1-based) of a message (S_0, ..., S_{k'-1}) is
 sum_j S_j * alpha^(j*(r-1)), so the parity columns form a transposed
 Vandermonde matrix on the distinct nodes 1, alpha, ..., alpha^(k'-1).
-Erasures are only ever solved in systematic positions p_0..p_{e-1} with
-the leading parities: sum_s X_s * a_s^r = b_r for r < e, a_s = alpha^(p_s),
-a Vandermonde system on distinct nodes. Its inverse has the closed
-(Lagrange) form that Bjorck-Pereyra and Forney's erasure evaluation use:
-row t holds the coefficients of L_t(x) = prod_{s != t} (x + a_s)/(a_t + a_s),
-since sum_r [x^r]L_t * b_r = sum_s X_s * L_t(a_s) = X_t. `erasure_inverse`
-builds it afresh per call: only `decode_erasures`, and through it the
-reference decoder `decode_case`, uses it. The guess scan in codec.py tests
-each guess with the erasure locator first and solves only the survivors,
-so it needs no inverse.
+Erasures at systematic positions p_0..p_{e-1} leave residual syndromes
+b_r = sum_t X_t * a_t^r, a_t = alpha^(p_t), and Forney's erasure decoding
+solves them: the locator P(x) = prod_t (x + a_t) annihilates every window,
+sum_t P_t b_(m+t) = 0, of syndromes that e erasures explain, and
+Q_t = P/(x + a_t) vanishes at every node but a_t, so
+X_t = sum_r [x^r]Q_t * b_r / Q_t(a_t). `solve_erasures` serves both the
+guess scan in codec.py, which hands it every syndrome so that it also
+tests the guess, and `decode_erasures`, which hands it exactly e.
 """
 
 from __future__ import annotations
@@ -22,23 +21,41 @@ from typing import Sequence
 from .gf import GF2m
 
 
-def erasure_inverse(gf: GF2m, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Inverse of the e x e system formed by parities 1..e at the given
-    distinct erased systematic positions: X_t = sum_r inv[t][r] * b_r."""
-    nodes = [gf.exp[p] for p in positions]
-    rows = []
-    for t, a in enumerate(nodes):
-        poly = [1]  # coefficients of prod (x + a_s), lowest degree first
-        den = 1
-        for s, b in enumerate(nodes):
-            if s != t:
-                poly = [0] + poly
-                for i in range(len(poly) - 1):
-                    poly[i] ^= gf.mul(b, poly[i + 1])
-                den = gf.mul(den, a ^ b)
-        scale = gf.inv(den)
-        rows.append(tuple(gf.mul(v, scale) for v in poly))
-    return tuple(rows)
+def locator(gf: GF2m, positions: Sequence[int]) -> list[int]:
+    """Coefficients of prod_t (x + alpha^(p_t)), lowest degree first."""
+    exp, log = gf.exp, gf.log
+    P = [1]
+    for p in positions:
+        P = [a ^ exp[p + log[b]] for a, b in zip([0] + P, P + [0])]
+    return P
+
+
+def solve_erasures(gf: GF2m, positions: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """Erased values X_t at the distinct positions from the syndromes
+    b_r = sum_t X_t alpha^(p_t r), r = 0 .. len(b)-1, or None if the
+    syndromes past the first e are not those of these erasures."""
+    exp, log = gf.exp, gf.log
+    order = gf.q - 1
+    P = locator(gf, positions)
+    lp = [log[v] for v in P]
+    for m in range(len(b) - len(positions)):
+        acc = 0
+        for lt, x in zip(lp, b[m:]):
+            acc ^= exp[lt + log[x]]
+        if acc:
+            return None
+    X = []
+    for p in positions:
+        # q runs through Q_(e-1) .. Q_0 by synthetic division,
+        # Q_(r-1) = P_r + a_t Q_r; num sums Q_r b_r and den is Q(a_t) by
+        # Horner's rule
+        q = num = den = 0
+        for r in range(len(positions), 0, -1):
+            q = P[r] ^ exp[p + log[q]]
+            num ^= exp[log[q] + log[b[r - 1]]]
+            den = exp[p + log[den]] ^ q
+        X.append(exp[log[num] + order - log[den]])
+    return X
 
 
 class SystematicCode:
@@ -88,11 +105,7 @@ class SystematicCode:
             raise ValueError(f"{e} erasures exceed {self.c} parities")
         known = [s or 0 for s in symbols]
         rhs = [parities[r] ^ self.parity(known, r + 1) for r in range(e)]
-        exp, log = self.gf.exp, self.gf.log
         out = list(symbols)
-        for t, row in enumerate(erasure_inverse(self.gf, erased)):
-            acc = 0
-            for a, b in zip(row, rhs):
-                acc ^= exp[log[a] + log[b]]
-            out[erased[t]] = acc
+        for j, x in zip(erased, solve_erasures(self.gf, erased, rhs)):  # type: ignore[arg-type]
+            out[j] = x
         return out  # type: ignore[return-value]

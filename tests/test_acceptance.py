@@ -37,8 +37,7 @@ from vectors import (
 
 
 def _symbols(bits, ell=4):
-    gf = field(ell)
-    return tuple(gf.from_bits(bits[i : i + ell]) for i in range(0, len(bits), ell))
+    return tuple(int(bits[i : i + ell], 2) for i in range(0, len(bits), ell))
 
 
 def test_criterion_01_worked_encoding_vectors():

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import gccodes
 
@@ -75,3 +77,13 @@ def test_sync_calls_every_wrapped_name(monkeypatch):
     kinds = {kind for _, _, kind, _ in stats.ledger}
     assert {"hash", "vt_syndrome", "gc_parities", "anchor"} <= kinds
     assert all(calls.values()), calls
+
+
+def test_import_loads_no_process_or_socket_modules():
+    # the trial runner reaches ProcessPoolExecutor only when it runs, so a
+    # bare import stays light
+    heavy = ("multiprocessing", "concurrent.futures.process", "subprocess", "socket")
+    code = f"import sys, gccodes; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import gccodes.cli
 from gccodes.cli import main
 
 from vectors import CODEWORD_A, MSG_A, MSG_B, MSG_B_OTHER, RECEIVED_B, TAIL_A
@@ -85,6 +86,22 @@ def test_sync_without_trials_exits_one(capsys):
 def test_sync_empty_file_exits_one(capsys):
     code, _, err = run(["sync", "--file-bits", "0", "--d", "0"], capsys)
     assert code == 1 and "error" in err
+
+
+def test_sync_both_modes_validates_before_any_trial(monkeypatch, capsys):
+    # delta_cap 1 is valid for VT but not for GC; no VT trial may run first
+    modes = []
+    real = gccodes.cli.run_sync_trials
+
+    def recorder(*args):
+        modes.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(gccodes.cli, "run_sync_trials", recorder)
+    argv = ["sync", "--file-bits", "1000", "--d", "3", "--trials", "2", "--delta-cap", "1"]
+    code, _, err = run([*argv, "--mode", "both"], capsys)
+    assert code == 1 and "delta_cap" in err
+    assert modes == []
 
 
 def test_corrupt_then_decode(tmp_path, capsys):

@@ -102,3 +102,6 @@ def test_gamma_census_validation():
         gamma_census(16, 4, 17, 1)
     with pytest.raises(ValueError):
         gamma_census(16, 4, 1, 5)
+    for ell in (0, -4):
+        with pytest.raises(ValueError):
+            gamma_census(16, ell)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gccodes.gf import field
-from gccodes.mds import SystematicCode
+from gccodes.mds import SystematicCode, solve_erasures
 
 
 @pytest.fixture
@@ -109,3 +109,29 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         code.decode_erasures([None, 1, 2, 3, 4], [1, 2])
 
+
+
+@pytest.mark.parametrize("ell", [4, 8])
+def test_solve_erasures_recovers_values_and_rejects_changed_syndromes(ell):
+    gf = field(ell)
+    exp, log = gf.exp, gf.log
+    order = gf.q - 1
+    rng = random.Random(ell)
+    c = 5
+    for _ in range(30):
+        k_prime = rng.randint(c, 12)
+        for e in range(c + 1):
+            positions = rng.sample(range(k_prime), e)
+            X = [rng.randrange(gf.q) for _ in positions]
+            b = []
+            for r in range(c):
+                acc = 0
+                for p, x in zip(positions, X):
+                    acc ^= exp[log[x] + p * r % order]
+                b.append(acc)
+            assert solve_erasures(gf, positions, b) == X
+            assert solve_erasures(gf, positions, b[:e]) == X
+            for r in range(e, c):
+                bad = list(b)
+                bad[r] ^= rng.randrange(1, gf.q)
+                assert solve_erasures(gf, positions, bad) is None
