@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, xor
+from struct import pack
 from typing import Iterator, Sequence
 
 from .gf import field
@@ -309,12 +310,14 @@ def _scan(
     P(x) = prod_t (x + a_t) annihilates every window,
     sum_t P_t b_(m+t) = 0 for m = 0 .. c-1-z (Forney's erasure test), so no
     guess is solved before it passes. For the last two erased blocks
-    i < j, window 0 separates into terms in i and terms in j, so the pair
-    loop tests each pair in O(1) from lists built once per erased prefix.
+    i < j, window 0 separates into terms in i and terms in j, built once
+    per erased prefix, and each i tests every j > i at once on 16-bit lanes
+    of one Python int (SWAR: SIMD within a register).
     """
     gf = code.gf
-    exp, log = gf.exp, gf.log
+    exp, log, e16 = gf.exp, gf.log, gf.exp16
     ell = gf.m
+    fb = gf.poly ^ gf.q  # alpha^ell as a field element
     kp = code.k_prime
     cn = len(p)
     nlens = [ell] * (kp - 1) + [k - (kp - 1) * ell]
@@ -400,17 +403,34 @@ def _scan(
             C1 = [d2 ^ exp[i + log[d1]] for i, d1, d2 in zip(I, D1, D2)]
             LH = [log[v1 ^ exp[j + log[v0]]] for j, v0, v1 in zip(J, V0, V1)]
             G = [v2 ^ exp[j + log[v1]] for j, v1, v2 in zip(J, V1, V2)]
-            for n, (i, lc0, c1) in enumerate(zip(I, LC0, C1)):
-                # exp[lc0 + j] = a_j C_0(i) for the j after i
-                for j, g, lh, cj in zip(J[n:], G[n:], LH[n:], exp[lc0 + i + 1 : lc0 + jtop]):
-                    if c1 ^ g ^ exp[i + lh] == cj:
-                        accept(
-                            [
-                                K[r] ^ Ts[r][lo] ^ Ts[r][i] ^ Tw[r][i + 1] ^ Lw[r][j]
-                                for r in range(cn)
-                            ],
-                            entries + ((i, w), (j, u)),
-                        )
+            # 16-bit lane p of these ints is block j = i + 1 + p: Gp packs G(j),
+            # Hp a_i H(j) and cp a_j C_0(i). Pair (i, j) passes iff lane p of x
+            # is zero, which one carry test finds for every lane at once
+            n = jtop - lo - 1
+            ones = ((1 << 16 * n) - 1) // 0xFFFF
+            Gp = int.from_bytes(pack(f"<{n}H", *G), "little")
+            Hp = int.from_bytes(pack(f"<{n}H", *[exp[lo + lh] for lh in LH]), "little")
+            for i, lc0, c1 in zip(I, LC0, C1):
+                cp = int.from_bytes(e16[2 * (lc0 + i + 1) : 2 * (lc0 + jtop)], "little")
+                x = Gp ^ Hp ^ c1 * ones ^ cp
+                low = ones * 0x7FFF
+                hits = ~((x & low) + low | x) & ones << 15
+                while hits:  # lowest lane first
+                    j = i + ((hits & -hits).bit_length() >> 4)
+                    hits &= hits - 1
+                    accept(
+                        [
+                            K[r] ^ Ts[r][lo] ^ Ts[r][i] ^ Tw[r][i + 1] ^ Lw[r][j]
+                            for r in range(cn)
+                        ],
+                        entries + ((i, w), (j, u)),
+                    )
+                # drop lane j = i + 1 and step a_i H(j) to a_(i+1) H(j)
+                Gp >>= 16
+                Hp >>= 16
+                ones >>= 16
+                t = Hp >> ell - 1 & ones
+                Hp = (Hp ^ t << ell - 1) << 1 ^ t * fb
 
 
 def _rebuild(
@@ -515,29 +535,30 @@ def decode_case(
     systematic_region: str,
     assignment: Sequence[int],
     parities: Sequence[int],
-    params: GcParams,
+    k: int,
+    ell: int,
     mode: str = "deletions",
 ) -> str | None:
-    """Reference single-guess decoder: chunk the region per the assignment,
-    erasure-decode the assumed-hit blocks with the leading parities, and
-    accept only if the unused parities and the per-block consistency checks
-    pass. Returns the candidate message, or None when the guess is
-    impossible. gc_decode runs an optimized equivalent of this per case."""
+    """Reference single-guess decoder for a k-bit message in ell-bit blocks:
+    chunk the region per the assignment, erasure-decode the assumed-hit
+    blocks with the leading parities, and accept only if the unused
+    parities and the per-block checks pass. Returns the candidate message,
+    or None when the guess is impossible; the scan is its optimized form."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     deletions = mode == "deletions"
-    kp = params.k_prime
-    ell = params.ell
+    code = SystematicCode(field(ell), -(-k // ell), len(parities))  # checks k' + c <= q
+    kp = code.k_prime
     if len(assignment) != kp:
         raise ValueError(f"assignment must have {kp} entries")
     if any(v < 0 for v in assignment):
         raise ValueError("assignment entries must be non-negative")
     d = sum(assignment)
-    expected = params.k - d if deletions else params.k + d
+    expected = k - d if deletions else k + d
     if len(systematic_region) != expected:
         raise ValueError(f"region must be {expected} bits for this assignment")
 
-    nlens = [ell] * (kp - 1) + [params.ell_last]
+    nlens = [ell] * (kp - 1) + [k - (kp - 1) * ell]
     chunks = []
     pos = 0
     for nl, v in zip(nlens, assignment):
@@ -554,7 +575,6 @@ def decode_case(
         else:
             symbols.append(int(chunk, 2) << (ell - len(chunk)) if chunk else 0)
     e = sum(1 for s in symbols if s is None)
-    code = SystematicCode(field(ell), kp, len(parities))
     decoded = code.decode_erasures(symbols, list(parities[:e]))
 
     for r in range(e + 1, len(parities) + 1):

@@ -77,7 +77,8 @@ def theoretical_bound(params: GcParams) -> float:
     (requires c > 2*delta for a vanishing value)."""
     t = math.comb(params.k_prime + params.delta - 1, params.delta)
     gamma_cap = 2 ** (params.delta * params.delta)
-    return t * gamma_cap / (2.0 ** (params.ell * (params.c - params.delta)))
+    # exact int division: q^(c - delta) can exceed a float's range
+    return t * gamma_cap / (1 << params.ell * (params.c - params.delta))
 
 
 def sweep(

@@ -10,6 +10,7 @@ m <= 16.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 
 # One fixed primitive polynomial per degree, bit i = coefficient of x^i.
@@ -41,7 +42,8 @@ class GF2m:
     zeros up to index 4(q-1), so exp[log[a] + log[b]] is a*b for every a
     and b, zero included, without a modulo or a branch. Construction
     verifies that alpha generates the whole multiplicative group, i.e.
-    that the polynomial is primitive.
+    that the polynomial is primitive. exp16 is exp as little-endian 16-bit
+    words, so int.from_bytes of a slice packs a run of exp into lanes.
     """
 
     def __init__(self, m: int):
@@ -70,6 +72,7 @@ class GF2m:
             raise ValueError(f"0b{poly:b} is not irreducible over GF(2)")
         self.exp = exp
         self.log = log
+        self.exp16 = struct.pack(f"<{len(exp)}H", *exp)
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, poly=0b{self.poly:b})"

@@ -224,6 +224,20 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout == CODEWORD_A + "\n"
 
 
+def test_simulate_bound_past_float_range():
+    # ell * (c - delta) = 1040 bits of q^(c - delta): no float overflow
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "gccodes", "simulate",
+            "--k", "16", "--ell", "16", "--c", "66", "--delta", "1", "--trials", "1",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0
+
+
 def test_decode_insertion_with_long_parity_tail(tmp_path):
     # 200 parities of 12 bits make a tail of 2,400 repetition groups
     flags = ["--k", "16", "--ell", "12", "--c", "200", "--delta", "1"]

@@ -213,31 +213,33 @@ class TestDecodeCase:
         self.region = delete(MSG_A, 14)
 
     def test_case1_fails_parity(self):
-        assert decode_case(self.region, (1, 0, 0, 0), self.parities, PARAMS_16) is None
+        assert decode_case(self.region, (1, 0, 0, 0), self.parities, 16, 4) is None
 
     def test_case2_fails_supersequence(self):
         # erasure decodes to 0011, which cannot contain the sub-block 000
-        assert decode_case(self.region, (0, 1, 0, 0), self.parities, PARAMS_16) is None
+        assert decode_case(self.region, (0, 1, 0, 0), self.parities, 16, 4) is None
 
     def test_case3_fails_both(self):
-        assert decode_case(self.region, (0, 0, 1, 0), self.parities, PARAMS_16) is None
+        assert decode_case(self.region, (0, 0, 1, 0), self.parities, 16, 4) is None
 
     def test_case4_accepts(self):
-        assert decode_case(self.region, (0, 0, 0, 1), self.parities, PARAMS_16) == MSG_A
+        assert decode_case(self.region, (0, 0, 0, 1), self.parities, 16, 4) == MSG_A
 
     def test_failure_example_cases(self):
         region = delete(MSG_B, 14)
-        one = decode_case(region, (1, 0, 0, 0), (0, 5), PARAMS_16)
+        one = decode_case(region, (1, 0, 0, 0), (0, 5), 16, 4)
         assert one == MSG_B_OTHER
         syms = [int(one[i : i + 4], 2) for i in range(0, 16, 4)]
         assert syms == [13, 8, 4, 1]  # (a^13, a^3, a^2, 1)
-        assert decode_case(region, (0, 0, 0, 1), (0, 5), PARAMS_16) == MSG_B
+        assert decode_case(region, (0, 0, 0, 1), (0, 5), 16, 4) == MSG_B
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            decode_case(self.region, (1, 0, 0), self.parities, PARAMS_16)
+            decode_case(self.region, (1, 0, 0), self.parities, 16, 4)
         with pytest.raises(ValueError):
-            decode_case(MSG_A, (1, 0, 0, 0), self.parities, PARAMS_16)
+            decode_case(MSG_A, (1, 0, 0, 0), self.parities, 16, 4)
+        with pytest.raises(ValueError):
+            decode_case("", (), self.parities, 0, 4)  # no blocks
 
 
 class TestGcDecode:
@@ -393,6 +395,19 @@ class TestEngineAgainstReference:
             )
             mode = ("deletions", "insertions")[t % 2]
             _check_against_reference(rng, k, ell, d + 1, d, mode, t)
+
+    def test_long_repair_segment(self):
+        # k' = 200 blocks of GF(2^11) and two deletions, the size of a sync
+        # repair: the pair test runs on lanes for up to 199 partner blocks
+        k = 200 * 11 - 5  # short last block
+        _check_against_reference(random.Random(61), k, 11, 3, 2, "deletions", 61)
+
+    def test_full_width_lanes(self):
+        # ell = 16 fills each 16-bit lane, so its top bit is a symbol bit
+        rng = random.Random(71)
+        for t in range(8):
+            mode = ("deletions", "insertions")[t % 2]
+            _check_against_reference(rng, 40 * 16 - t, 16, 3, 2, mode, t)
 
     def test_single_block(self):
         rng = random.Random(51)

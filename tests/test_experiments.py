@@ -34,6 +34,13 @@ def test_bound_specializes_for_single_deletion():
             assert general == pytest.approx(closed)
 
 
+def test_bound_past_float_range():
+    # q^(c - delta) = 2^1040 is beyond a float, but the bound 2 / 2^1040 is
+    # a subnormal; at 2^1104 it rounds to 0.0
+    assert theoretical_bound(GcParams(16, 16, 66, 1)) == 2.0**-1039
+    assert theoretical_bound(GcParams(16, 16, 70, 1)) == 0.0
+
+
 def test_zero_edit_channel_never_fails():
     est = estimate_pf(GcParams(64, 6, 3, 2), trials=50, seed=3, edits=0)
     assert est.failures == 0 and est.pf_hat == 0.0

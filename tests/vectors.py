@@ -49,9 +49,6 @@ def check_against_reference(msg: str, region: str, ell: int, c: int, mode: str) 
     k = len(msg)
     kp = -(-k // ell)
     d = abs(len(region) - k)
-    # decode_case reads only k, ell and k' from its params, so delta = 1
-    # keeps them valid when d exceeds ell
-    params = GcParams(k, ell, c, 1)
     syms = [int(msg[i * ell : (i + 1) * ell].ljust(ell, "0"), 2) for i in range(kp)]
     parities = SystematicCode(field(ell), kp, c).encode(syms)
     caps = None
@@ -59,7 +56,7 @@ def check_against_reference(msg: str, region: str, ell: int, c: int, mode: str) 
         caps = [ell] * (kp - 1) + [k - (kp - 1) * ell]
     expected = {}
     for a in enumerate_cases(kp, d, caps):
-        got = decode_case(region, a, parities, params, mode)
+        got = decode_case(region, a, parities, k, ell, mode)
         if got is not None and (got not in expected or a < expected[got]):
             expected[got] = a
     assert msg in expected
