@@ -96,16 +96,38 @@ DecodeOutcome = Success | Failure | NoCandidate
 
 
 def _check_bits(s: str, what: str = "input") -> None:
-    if s.strip("01"):
+    # bytes.translate deletes in one C pass; any other character survives it
+    if s.encode("ascii", "replace").translate(None, b"01"):
         raise ValueError(f"{what} must contain only '0' and '1'")
 
 
 def subsequence_check(short: str, long: str) -> bool:
-    """True iff `short` is a subsequence of `long` (greedy two-pointer scan)."""
-    if len(short) > len(long):
-        return False
-    it = iter(long)
-    return all(b in it for b in short)
+    """True iff `short` is a subsequence of `long`, matched greedily.
+
+    Each bit of `short` takes the first unused equal bit of `long`. Greedy
+    matching skips bits of `long` only at a mismatch, and at most slack =
+    len(long) - len(short) of them in all. So the scan alternates two
+    C-level steps: `str.find` jumps to the next occurrence of the wanted
+    bit, charging the bits it skipped to the slack, and galloping slice
+    comparisons (steps 1, 2, 4, ... then halving) take the whole common
+    run after it. That is O(e log n) slice operations for e skipped bits.
+    The strings may be over any alphabet."""
+    n = len(short)
+    slack = len(long) - n
+    i, j = 0, -1  # short[:i] is matched, its last bit at long[j]
+    while i < n:
+        k = long.find(short[i], j + 1)
+        slack -= k - j - 1
+        if k < 0 or slack < 0:
+            return False
+        i, j, step = i + 1, k, 1
+        while i + step <= n and short[i : i + step] == long[j + 1 : j + 1 + step]:
+            i, j, step = i + step, j + step, 2 * step
+        while step > 1:
+            step //= 2
+            if i + step <= n and short[i : i + step] == long[j + 1 : j + 1 + step]:
+                i, j = i + step, j + step
+    return True
 
 
 def enumerate_cases(

@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .channel import _sample_plan, apply_edits, run_trials
-from .codec import Failure, Success, _block_parities, decode_with_parities, subsequence_check
+from .codec import Failure, Success, _block_parities, _check_bits, decode_with_parities
+from .codec import subsequence_check
 from .vt import NoConsistentInsertion, vt_correct, vt_syndrome
 
 MODES = ("vt", "gc")
@@ -155,6 +156,8 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
     LIFO stack of (round, segment); children are pushed right first, so the
     walk is a preorder of the segment tree, and one stable sort of the
     ledger by round gives each round's messages in segment order."""
+    _check_bits(file_a, "file_a")
+    _check_bits(file_b, "file_b")
     if not subsequence_check(file_b, file_a):
         raise ModelViolation("file_b must be a subsequence of file_a")
 

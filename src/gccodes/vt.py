@@ -4,11 +4,17 @@ The syndrome of an n-bit string is sum(i * x_i) mod (n+1) over 1-indexed
 positions. A string that lost one bit is repaired with Levenshtein's
 weight rule; every syndrome-consistent reinsertion yields the same string,
 which is what makes the correction zero-error.
+
+The weighted sum comes from bit-plane popcounts of X = int(x, 2), whose bit
+p is position n - p: n * popcount(X) - sum over h = 1, 2, 4, ... of
+h * popcount(X & plane_h), where plane_h masks the p that have bit h set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .codec import _check_bits
 
 
 class NoConsistentInsertion(ValueError):
@@ -21,12 +27,28 @@ class VtSyndrome:
     n: int  # length of the original string
 
 
+def _weighted_sum(x: str) -> int:
+    """sum(i * x_i) over the 1-indexed positions of the bit string x."""
+    n = len(x)
+    X = int(x or "0", 2)  # bit p of X is position n - p
+    total = n * X.bit_count()
+    h = 1
+    while h < n:
+        plane, width = ((1 << h) - 1) << h, 2 * h  # the p < 2h that have bit h
+        while width < n:
+            plane |= plane << width
+            width *= 2
+        total -= h * (X & plane).bit_count()
+        h *= 2
+    return total
+
+
 def vt_syndrome(x: str) -> VtSyndrome:
     n = len(x)
     if n < 1:
         raise ValueError("need at least one bit")
-    a = sum(i for i, b in enumerate(x, start=1) if b == "1") % (n + 1)
-    return VtSyndrome(a, n)
+    _check_bits(x)
+    return VtSyndrome(_weighted_sum(x) % (n + 1), n)
 
 
 def vt_correct(y: str, syndrome: VtSyndrome) -> str:
@@ -37,9 +59,10 @@ def vt_correct(y: str, syndrome: VtSyndrome) -> str:
     s - w - 1 zeros to its left.
     """
     n = syndrome.n
+    _check_bits(y)
     if len(y) != n - 1:
         raise ValueError(f"expected {n - 1} bits, got {len(y)}")
-    got = sum(i for i, b in enumerate(y, start=1) if b == "1") % (n + 1)
+    got = _weighted_sum(y) % (n + 1)
     s = (syndrome.a - got) % (n + 1)
     w = y.count("1")
 

@@ -206,6 +206,28 @@ class TestSubsequence:
             y = delete(x, *sorted(rng.sample(range(1, n + 1), d)))
             assert subsequence_check(y, x)
 
+    def test_jumps_are_bounded_by_the_slack(self):
+        # each find after the first skips at least one bit of `long` or ends
+        # the scan, so a check makes at most slack + 2 of them
+        class Counted(str):
+            finds = 0
+
+            def find(self, *args):
+                Counted.finds += 1
+                return super().find(*args)
+
+        rng = random.Random(4)
+        x = format(rng.getrandbits(4000), "04000b")
+        cases = [
+            (x, x, True),  # one run: a single find
+            (delete(x, 900, 2000, 3100), x, True),
+            ("1" * 1500, "01" * 1000, False),  # the slack runs out after 501 skips
+        ]
+        for short, long, result in cases:
+            Counted.finds = 0
+            assert subsequence_check(short, Counted(long)) is result
+            assert Counted.finds <= len(long) - len(short) + 2
+
 
 class TestDecodeCase:
     def setup_method(self):

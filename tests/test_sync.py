@@ -43,6 +43,19 @@ def test_model_violation():
         run_sync("0000", "111", SyncConfig(mode="vt"))
 
 
+@pytest.mark.parametrize("bad", ["1_1", " 11", "0b1", "+1", "abc"])
+def test_non_bit_files_are_rejected(bad):
+    for file_a, file_b in ((bad, "1"), ("0101", bad)):
+        with pytest.raises(ValueError, match="only '0' and '1'"):
+            run_sync(file_a, file_b, SyncConfig(mode="vt"))
+
+
+def test_non_bit_file_a_holding_file_b_is_rejected():
+    # "010" is a subsequence of "0120", so only the bit check stops this pair
+    with pytest.raises(ValueError, match="only '0' and '1'"):
+        run_sync("0120", "010", SyncConfig(mode="vt"))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SyncConfig(mode="gc", delta_cap=1)

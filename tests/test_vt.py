@@ -21,6 +21,15 @@ def test_length_mismatch():
         vt_correct("10", VtSyndrome(0, 4))
 
 
+@pytest.mark.parametrize("bad", ["1_1", " 11", "0b1", "+1", "abc"])
+def test_non_bit_strings_are_rejected(bad):
+    # int(s, 2) would accept the first four; the syndrome must not
+    with pytest.raises(ValueError, match="only '0' and '1'"):
+        vt_syndrome(bad)
+    with pytest.raises(ValueError, match="only '0' and '1'"):
+        vt_correct(bad, VtSyndrome(0, len(bad) + 1))
+
+
 def test_exhaustive_small_lengths():
     # every string up to length 10 survives every single deletion
     # (the acceptance suite pushes this to length 14)
