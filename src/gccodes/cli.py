@@ -239,10 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError, OverflowError) as exc:
+        # OverflowError: a size argument past what the interpreter can
+        # allocate, such as --file-bits beyond a C int
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

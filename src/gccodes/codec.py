@@ -276,26 +276,50 @@ def recover_parities_ins(received: str, params: GcParams) -> tuple[str, list[tup
     return _recover_parities(received, params, "insertions")
 
 
-def _prefix_tables(region: str, nlens: list[int], d: int, logcol, gf, sign: int):
+def _prefix_tables(bits: str, k: int, d: int, code: SystematicCode, deletions: bool):
     """T[s][r][i] = XOR of the parity-r terms of blocks 0..i-1 read at shift
-    s, the number of edits assumed before them. Unerased-block symbols
-    depend only on (block, shift), so the terms of any unerased run of
-    blocks at one shift are one table difference."""
+    s = 0..d, the number of edits assumed before them: block i is read from
+    bits[i*ell - s:] for deletions and bits[i*ell + s:] for insertions.
+    Unerased-block symbols depend only on (block, shift), so the terms of
+    any unerased run of blocks at one shift are one table difference.
+
+    gc_decode builds these once per decode on the whole received string,
+    for the largest split d, and each split's `_scan` takes T[:d_s + 1]
+    with its own region received[:k - d_s] (deletions) or
+    received[:k + d_s] (insertions). An entry differs from the table built
+    on the region only where a block read at shift s <= d_s runs past the
+    region's end:
+    - insertions: block k'-1 ends at k + s <= k + d_s; nothing differs.
+    - deletions: block i <= k'-3 ends at (i+1)*ell - s <= k - ell - ell_last
+      < k - d_s, as d_s <= delta <= ell. Block k'-2 ends at (k'-1)*ell - s,
+      inside iff ell_last + s >= d_s; block k'-1 ends at k - s, inside iff
+      s >= d_s. So T[d_s] is exact, and for s < d_s only T[s][r][k'] and,
+      when ell_last + s < d_s, T[s][r][k'-1] differ.
+    `_scan` uses neither. It reads index k' only of T[d_s] (in `Td` and the
+    d = 0 guess); every other read is at an index <= k'-1. A value built
+    from an index-(k'-1) read of T[s], s < d_s, serves only guesses whose
+    last erased block is k'-1 with s edits before it: `last[s][r][k'-1]`,
+    and `Tw[r][i + 1]` at i = k'-2 in the pair loop, which reaches i = k'-2
+    only when jtop = k'. Such a guess puts d_s - s edits on block k'-1, and
+    `top(d_s - s)` admits block k'-1 only when d_s - s <= ell_last, that
+    is, exactly when the entry agrees."""
+    gf = code.gf
     ell = gf.m
     exp, log = gf.exp, gf.log
+    kp = code.k_prime
     tables = []
     for s in range(d + 1):
-        off = sign * s
+        off = -s if deletions else s
         # infeasible (block, shift) pairs read junk here; it only ever
         # appears inside both terms of a table difference and cancels
-        chunks = [
-            region[st : st + ell] if st >= 0 else ""
-            for st in range(off, off + len(nlens) * ell, ell)
-        ]
-        chunks[-1] = chunks[-1][: nlens[-1]]
+        chunks = [bits[st : st + ell] if st >= 0 else "" for st in range(off, off + kp * ell, ell)]
+        chunks[-1] = chunks[-1][: k - (kp - 1) * ell]
         logs = [log[int(ch or "0", 2) << (ell - len(ch))] for ch in chunks]
         tables.append(
-            [[0, *accumulate(map(exp.__getitem__, map(add, logs, cols)), xor)] for cols in logcol]
+            [
+                [0, *accumulate(map(exp.__getitem__, map(add, logs, cols)), xor)]
+                for cols in code.logcol
+            ]
         )
     return tables
 
@@ -314,17 +338,20 @@ def _window(lp: list[int], rows: list[list[int]], m: int, gf) -> list[int]:
 
 def _scan(
     region: str,
+    T: list[list[list[int]]],
     k: int,
     code: SystematicCode,
-    d: int,
     p: Sequence[int],
     deletions: bool,
     found: dict[str, tuple[int, ...]],
 ) -> None:
-    """Try every assignment of d edits to the blocks of this region of a
-    k-bit message against the parities p of `code`; record accepted
-    messages in `found` keyed by message, value = lexicographically
-    smallest accepting assignment.
+    """Try every assignment of d = len(T) - 1 edits to the blocks of this
+    region of a k-bit message against the parities p of `code`; record
+    accepted messages in `found` keyed by message, value =
+    lexicographically smallest accepting assignment. T holds the prefix
+    tables for shifts 0..d (`_prefix_tables`); gc_decode builds them once
+    for all its splits, and the entries that differ from the region's own
+    tables are never read here (see `_prefix_tables`).
 
     A guess erasing blocks i_1 < ... < i_z leaves the residual syndromes
     b_r = p_r + (parity-r terms of the unerased blocks) = sum_t X_t a_t^r,
@@ -343,7 +370,7 @@ def _scan(
     kp = code.k_prime
     cn = len(p)
     nlens = [ell] * (kp - 1) + [k - (kp - 1) * ell]
-    T = _prefix_tables(region, nlens, d, code.logcol, gf, -1 if deletions else 1)
+    d = len(T) - 1
     Td = T[d]
     # last[s][r][j] = p_r + terms of blocks before j at shift s + terms of
     # the blocks after j at shift d: b_r of a guess whose last erased block
@@ -513,6 +540,10 @@ def gc_decode(received: str, params: GcParams, mode: str = "deletions") -> Decod
     The edit count d is inferred from the length. Candidates are pooled
     over every feasible systematic/parity split and every assignment of
     the d systematic edits; Success needs exactly one distinct survivor.
+    The prefix tables are built once, on the whole received string, and
+    each split d_s scans with the first d_s + 1 of them; `_prefix_tables`
+    shows that the entries that differ from the split's own tables are
+    never read.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -525,9 +556,11 @@ def gc_decode(received: str, params: GcParams, mode: str = "deletions") -> Decod
     parities = tuple(
         int(parity_bits[r * params.ell : (r + 1) * params.ell], 2) for r in range(params.c)
     )
+    deletions = mode == "deletions"
+    T = _prefix_tables(received, params.k, max(d_s for _, d_s in splits), code, deletions)
     found: dict[str, tuple[int, ...]] = {}
     for region, d_s in splits:
-        _scan(region, params.k, code, d_s, parities, mode == "deletions", found)
+        _scan(region, T[: d_s + 1], params.k, code, parities, deletions, found)
     return _outcome(found)
 
 
@@ -548,8 +581,10 @@ def decode_with_parities(
     code = SystematicCode(field(ell), -(-k // ell), len(parities))  # checks k' + c <= q
     if any(not 0 <= s < code.gf.q for s in parities):
         raise ValueError(f"parity symbols must lie in [0, {code.gf.q})")
+    deletions = mode == "deletions"
     found: dict[str, tuple[int, ...]] = {}
-    _scan(received, k, code, d, parities, mode == "deletions", found)
+    T = _prefix_tables(received, k, d, code, deletions)
+    _scan(received, T, k, code, parities, deletions, found)
     return _outcome(found)
 
 

@@ -88,6 +88,13 @@ def test_sync_empty_file_exits_one(capsys):
     assert code == 1 and "error" in err
 
 
+def test_sync_file_too_large_to_draw_exits_one(capsys):
+    # getrandbits rejects the size before allocating anything
+    argv = ["sync", "--file-bits", "100000000000000000000", "--d", "2", "--trials", "1"]
+    code, _, err = run([*argv, "--mode", "vt"], capsys)
+    assert code == 1 and err.startswith("error: ")
+
+
 def test_sync_both_modes_validates_before_any_trial(monkeypatch, capsys):
     # delta_cap 1 is valid for VT but not for GC; no VT trial may run first
     modes = []

@@ -20,6 +20,7 @@ from gccodes import (
     sample_plan,
     subsequence_check,
 )
+from gccodes.codec import _prefix_tables
 from gccodes.gf import field
 from gccodes.mds import SystematicCode
 
@@ -36,6 +37,7 @@ from vectors import (
     RECEIVED_B,
     TAIL_A,
     check_against_reference,
+    check_gc_decode_against_splits,
     delete,
 )
 
@@ -439,6 +441,34 @@ class TestEngineAgainstReference:
             d = rng.randint(1, 3)
             mode = ("deletions", "insertions")[t % 2]
             _check_against_reference(rng, k, ell, rng.randint(d + 1, 7), d, mode, t)
+
+    def test_shared_tables_differ_only_where_unread(self):
+        # k = 4*ell + 1: the last block holds one bit, fewer than delta, so
+        # deletions in the last two blocks make the tables built once on
+        # the received word differ from a split's own at T[s][r][k'] and
+        # T[s][r][k'-1]; gc_decode must still equal the per-split reference
+        params = GcParams(k=17, ell=4, c=4, delta=3)
+        kp, ell_last = params.k_prime, params.ell_last
+        code = SystematicCode(field(4), kp, params.c)
+        rng = random.Random(81)
+        differ = set()
+        for t in range(60):
+            msg = format(rng.getrandbits(17), "017b")
+            # 1-indexed bits 13..17 are blocks k'-2 and k'-1; 18 starts the tail
+            positions = rng.sample(range(13, 19), 2 + t % 2)
+            received = delete(gc_encode(msg, params), *positions)
+            check_gc_decode_against_splits(msg, received, params, "deletions")
+            _, splits = recover_parities_del(received, params)
+            shared = _prefix_tables(received, 17, max(d for _, d in splits), code, True)
+            for region, d_s in splits:
+                own = _prefix_tables(region, 17, d_s, code, True)
+                for s in range(d_s + 1):
+                    for a, b in zip(shared[s], own[s]):
+                        for i in range(kp + 1):
+                            if a[i] != b[i]:
+                                assert s < d_s and (i == kp or ell_last + s < d_s)
+                                differ.add(i)
+        assert differ == {kp - 1, kp}
 
 
 class TestDecodeWithParities:

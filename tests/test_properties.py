@@ -7,10 +7,16 @@ import random
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from gccodes import apply_edits, sample_plan, subsequence_check, vt_syndrome
+from gccodes import GcParams, apply_edits, gc_encode, sample_plan, subsequence_check, vt_syndrome
 from gccodes.codec import MODES
 
-from vectors import check_against_reference
+from vectors import (
+    MSG_B,
+    PARAMS_16,
+    RECEIVED_B,
+    check_against_reference,
+    check_gc_decode_against_splits,
+)
 
 
 @st.composite
@@ -40,6 +46,41 @@ def edited_regions(draw):
 @given(edited_regions())
 def test_scan_equals_reference_and_keeps_the_message(case):
     check_against_reference(*case)
+
+
+@st.composite
+def received_words(draw):
+    """(message, received, params, mode): a GC codeword hit by d <= delta <= 4
+    edits, mostly delta, in the message or anywhere, tail included. Short
+    last blocks (ell_last < delta) and single-block messages (k' = 1, so
+    k <= ell) are drawn often."""
+    ell = draw(st.integers(2, 16))
+    delta = draw(st.integers(1, min(4, ell)))
+    q = 1 << ell
+    c = draw(st.integers(delta + 1, min(delta + 3, q - 1)))
+    kp = draw(st.integers(1, min(q - c, 12 if delta <= 2 else 6)))
+    ell_last = draw(st.one_of(st.integers(1, max(1, delta - 1)), st.integers(1, ell)))
+    params = GcParams((kp - 1) * ell + ell_last, ell, c, delta)
+    mode = draw(st.sampled_from(MODES))
+    msg = format(draw(st.integers(0, (1 << params.k) - 1)), f"0{params.k}b")
+    word = gc_encode(msg, params)
+    scope = draw(st.sampled_from(["systematic", "whole"]))
+    d = min(delta - draw(st.integers(0, delta)), params.k if scope == "systematic" else delta)
+    plan = sample_plan(len(word), d, mode, scope, draw(st.integers(0, 2**32)), params.k)
+    return msg, apply_edits(word, plan), params, mode
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=1000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(received_words())
+@example((MSG_B, RECEIVED_B, PARAMS_16, "deletions"))  # a decoding failure
+def test_gc_decode_equals_per_split_reference(case):
+    check_gc_decode_against_splits(*case)
 
 
 def greedy_subsequence(short, long):
