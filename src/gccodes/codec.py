@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import add, xor
 from struct import pack
 from typing import Iterator, Sequence
@@ -359,9 +359,20 @@ def _scan(
     P(x) = prod_t (x + a_t) annihilates every window,
     sum_t P_t b_(m+t) = 0 for m = 0 .. c-1-z (Forney's erasure test), so no
     guess is solved before it passes. For the last two erased blocks
-    i < j, window 0 separates into terms in i and terms in j, built once
-    per erased prefix, and each i tests every j > i at once on 16-bit lanes
-    of one Python int (SWAR: SIMD within a register).
+    i < j, window 0 separates into terms in i and terms in j, and each i
+    tests every j > i at once on 16-bit lanes of one Python int (SWAR:
+    SIMD within a register).
+
+    Those terms are linear in a_il, where il is the innermost block of a
+    non-empty erased prefix. Its locator is P = Pp (x + a_il) for the
+    parent prefix's locator Pp, so every window under P is
+    R_(m+1) + a_il R_m, where R_m, the window under Pp, depends only on the
+    parent and on the shifts of the final pair. Each parent builds its
+    R_m once per (shift, w) and visits its children il = lo0, lo0 + 1, ...
+    in ascending order. A child then builds only its two lists of i-side
+    terms, and steps the packed j-side terms from a_il to a_(il+1) by
+    lane-wise multiplications by alpha. The empty prefix has no parent;
+    its terms are the windows under P = 1, the rows themselves.
     """
     gf = code.gf
     exp, log, e16 = gf.exp, gf.log, gf.exp16
@@ -400,6 +411,62 @@ def _scan(
                 dense[i] = v
             _record(found, msg, tuple(dense))
 
+    def lin(R: list[list[int]], x0: int, m: int) -> list[int]:
+        """R_(m+1)[x] + a_x R_m[x] for the blocks x = x0, x0 + 1, ..."""
+        return [r1 ^ exp[x + log[r0]] for x, r0, r1 in zip(count(x0), R[m], R[m + 1])]
+
+    def terms(lp, Ts, Tw, Lw, lo, itop, jtop, M):
+        """([F_m], [E_m]) for m < M: F_m = lin(W, m) on the blocks
+        lo <= i < itop and E_m = lin(R, m) on lo < j < jtop, where W_m and
+        R_m are the windows, under the locator with coefficient logs lp, of
+        A0_r(i) = Ts[r][i] + Tw[r][i + 1] and of Lw[r][j]."""
+        rows = len(lp) + M
+        A0 = [[a ^ b for a, b in zip(Ts[r][lo:itop], Tw[r][lo + 1 :])] for r in range(rows)]
+        V = [row[lo + 1 : jtop] for row in Lw[:rows]]
+        W = [_window(lp, A0, m, gf) for m in range(M + 1)]
+        R = [_window(lp, V, m, gf) for m in range(M + 1)]
+        return [lin(W, lo, m) for m in range(M)], [lin(R, lo + 1, m) for m in range(M)]
+
+    def lanes(values: list[int]) -> int:
+        """values[p] in 16-bit lane p of one int"""
+        return int.from_bytes(pack(f"<{len(values)}H", *values), "little")
+
+    def times_alpha(X: int, ones: int) -> int:
+        """Every lane of X times alpha: shift each lane left by one and fold
+        its carry out of bit ell - 1 back in as alpha^ell = fb."""
+        t = X >> ell - 1 & ones
+        return (X ^ t << ell - 1) << 1 ^ t * fb
+
+    def pairs(lo, itop, jtop, LC0, C1, Gp, Hp, kap, Ts, Tw, Lw, entries, w, u):
+        """Window 0 of every final pair (i, w edits), (j, u edits) after the
+        prefix `entries`, lo <= i < itop, i < j < jtop, is
+        C_1(i) + a_j C_0(i) + G(j) + a_i H(j). LC0 holds log C_0(i) and C1
+        holds C_1(i); 16-bit lane p of Gp is G(j) and of Hp is a_lo H(j) for
+        block j = lo + 1 + p. kap[r] is b_r less the terms of i and j."""
+        ones = ((1 << 16 * (jtop - lo - 1)) - 1) // 0xFFFF
+        for i, lc0, c1 in zip(range(lo, itop), LC0, C1):
+            # lane p of cp is a_j C_0(i) for j = i + 1 + p; pair (i, j)
+            # passes iff lane p of x is zero, which one carry test finds for
+            # every lane at once
+            cp = int.from_bytes(e16[2 * (lc0 + i + 1) : 2 * (lc0 + jtop)], "little")
+            x = Gp ^ Hp ^ c1 * ones ^ cp
+            low = ones * 0x7FFF
+            hits = ~((x & low) + low | x) & ones << 15
+            while hits:  # lowest lane first
+                j = i + ((hits & -hits).bit_length() >> 4)
+                hits &= hits - 1
+                accept(
+                    [kap[r] ^ Ts[r][i] ^ Tw[r][i + 1] ^ Lw[r][j] for r in range(cn)],
+                    entries + ((i, w), (j, u)),
+                )
+            # drop lane j = i + 1 and step a_i H(j) to a_(i+1) H(j), with
+            # times_alpha inlined
+            Gp >>= 16
+            Hp >>= 16
+            ones >>= 16
+            t = Hp >> ell - 1 & ones
+            Hp = (Hp ^ t << ell - 1) << 1 ^ t * fb
+
     if d == 0:
         accept([pr ^ t[kp] for pr, t in zip(p, T[0])], ())
         return
@@ -410,76 +477,90 @@ def _scan(
         if b1[j] == exp[j + log[b0[j]]]:
             accept([row[j] for row in last[0]], ((j, d),))
 
-    # erased-block prefixes, each leaving at least two edits for its final
-    # pair: (shift s after it, first free block lo, terms K_r of the
-    # unerased blocks before lo, per-block edits)
-    work = [(0, 0, [0] * cn, ())]
-    while work:
-        s, lo, K, entries = work.pop()
-        e = d - s
-        Ts = T[s]
-        if e > 2:
-            vmax = min(e - 2, ell) if deletions else e - 2
-            for i in range(lo, kp - 2):
-                Ki = [kr ^ ts[lo] ^ ts[i] for kr, ts in zip(K, Ts)]
-                for v in range(1, vmax + 1):
-                    work.append((s + v, i + 1, Ki, entries + ((i, v),)))
-
-        lp = [log[v] for v in locator(gf, [i for i, _ in entries])]  # prefix locator P
-        rows = len(lp) + 2  # window 0 of the full locator reads b_0 .. b_(deg P + 2)
-        for w in range(1, e):
-            u = e - w
-            jtop = top(u)
-            itop = min(top(w), jtop - 1)
-            if itop <= lo:
-                continue
-            Tw = T[s + w]
-            Lw = last[s + w]
-            A = [
-                [K[r] ^ Ts[r][lo] ^ a ^ b for a, b in zip(Ts[r][lo:itop], Tw[r][lo + 1 :])]
-                for r in range(rows)
-            ]
-            I = range(lo, itop)
-            J = range(lo + 1, jtop)
-            D0, D1, D2 = (_window(lp, A, m, gf) for m in range(3))
-            V0, V1, V2 = (
-                _window(lp, [row[lo + 1 : jtop] for row in Lw[:rows]], m, gf) for m in range(3)
+    # the empty prefix, P = 1: window 0 of (x + a_i)(x + a_j) is
+    # b_2 + (a_i + a_j) b_1 + a_i a_j b_0, so C_m = F_m, G = E_1 and H = E_0
+    for w in range(1, d):
+        u = d - w
+        jtop = top(u)
+        itop = min(top(w), jtop - 1)
+        if itop > 0:
+            F, E = terms([0], T[0], T[w], last[w], 0, itop, jtop, 2)
+            LC0 = [log[x] for x in F[0]]
+            pairs(
+                0, itop, jtop, LC0, F[1], lanes(E[1]), lanes(E[0]),
+                [0] * cn, T[0], T[w], last[w], (), w, u,
             )
-            # window 0 of P(x)(x + a_i)(x + a_j) = R_1 + a_j R_0 regroups as
-            # C_1(i) + a_j C_0(i) + G(j) + a_i H(j), C_m = D_(m+1) + a_i D_m,
-            # H = V_1 + a_j V_0 and G = V_2 + a_j V_1
-            LC0 = [log[d1 ^ exp[i + log[d0]]] for i, d0, d1 in zip(I, D0, D1)]
-            C1 = [d2 ^ exp[i + log[d1]] for i, d1, d2 in zip(I, D1, D2)]
-            LH = [log[v1 ^ exp[j + log[v0]]] for j, v0, v1 in zip(J, V0, V1)]
-            G = [v2 ^ exp[j + log[v1]] for j, v1, v2 in zip(J, V1, V2)]
-            # 16-bit lane p of these ints is block j = i + 1 + p: Gp packs G(j),
-            # Hp a_i H(j) and cp a_j C_0(i). Pair (i, j) passes iff lane p of x
-            # is zero, which one carry test finds for every lane at once
-            n = jtop - lo - 1
-            ones = ((1 << 16 * n) - 1) // 0xFFFF
-            Gp = int.from_bytes(pack(f"<{n}H", *G), "little")
-            Hp = int.from_bytes(pack(f"<{n}H", *[exp[lo + lh] for lh in LH]), "little")
-            for i, lc0, c1 in zip(I, LC0, C1):
-                cp = int.from_bytes(e16[2 * (lc0 + i + 1) : 2 * (lc0 + jtop)], "little")
-                x = Gp ^ Hp ^ c1 * ones ^ cp
-                low = ones * 0x7FFF
-                hits = ~((x & low) + low | x) & ones << 15
-                while hits:  # lowest lane first
-                    j = i + ((hits & -hits).bit_length() >> 4)
-                    hits &= hits - 1
-                    accept(
-                        [
-                            K[r] ^ Ts[r][lo] ^ Ts[r][i] ^ Tw[r][i + 1] ^ Lw[r][j]
-                            for r in range(cn)
-                        ],
-                        entries + ((i, w), (j, u)),
+
+    # non-empty erased prefixes, each leaving at least two edits for its
+    # final pair, taken as the children of a parent prefix with more than
+    # two edits left: (shift s0 after it, first free block lo0, terms K0_r
+    # of the unerased blocks before lo0, per-block edits). Child il adds
+    # block il >= lo0 with v edits, and its first free block is il + 1
+    parents = [(0, 0, [0] * cn, ())] if d > 2 else []
+    while parents:
+        s0, lo0, K0, entries0 = parents.pop()
+        Ts0 = T[s0]
+        lp0 = [log[x] for x in locator(gf, [i for i, _ in entries0])]
+        # Kc[r][il - lo0] = K0_r + terms of blocks lo0 .. il-1 at shift s0,
+        # child il's K for any v
+        Kc = [[kr ^ ts0[lo0] ^ t for t in ts0[lo0 : kp - 2]] for kr, ts0 in zip(K0, Ts0)]
+        e0 = d - s0
+        vmax = min(e0 - 2, ell) if deletions else e0 - 2
+        for v in range(1, vmax + 1):
+            s = s0 + v
+            e = d - s
+            Ts = T[s]
+            # kap adds the terms of block il + 1 at shift s
+            kap = [[x ^ t for x, t in zip(kc, ts[lo0 + 1 :])] for kc, ts in zip(Kc, Ts)]
+            if e > 2:
+                for il in range(lo0, kp - 2):
+                    parents.append((s, il + 1, [kc[il - lo0] for kc in Kc], entries0 + ((il, v),)))
+            # window m of kap under child il's locator Pp (x + a_il) is
+            # lam_m = kw_(m+1) + a_il kw_m, with kw_m its window under Pp
+            kw = [_window(lp0, kap, m, gf) for m in range(4)]
+            lam = [lin(kw, lo0, m) for m in range(3)]
+            Llam0 = [log[x] for x in lam[0]]
+            Llam1 = [log[x] for x in lam[1]]
+            for w in range(1, e):
+                u = e - w
+                jtop = top(u)
+                itop = min(top(w), jtop - 1)
+                if itop <= lo0 + 1:
+                    continue
+                Tw = T[s + w]
+                Lw = last[s + w]
+                # under Pp (x + a_il), child il has C_0(i) = F_1 + a_il F_0 +
+                # lam_1 + a_i lam_0, C_1(i) = F_2 + a_il F_1 + lam_2 + a_i lam_1,
+                # G = E_2 + a_il E_1 and a_(il+1) H = alpha (a_il E_1 +
+                # a_il^2 E_0), with F and E taken under Pp. X1 carries a_il E_1
+                # and Y carries alpha a_il^2 E_0 from il to il + 1
+                (F0, F1, F2), (E0, E1, E2) = terms(lp0, Ts, Tw, Lw, lo0 + 1, itop, jtop, 3)
+                LF0 = [log[x] for x in F0]
+                LF1 = [log[x] for x in F1]
+                E2p = lanes(E2)
+                X1 = lanes([exp[lo0 + log[x]] for x in E1])
+                ly = (2 * lo0 + 1) % (gf.q - 1)  # exp holds two periods only
+                Y = lanes([exp[ly + log[x]] for x in E0])
+                ones = ((1 << 16 * (jtop - lo0 - 2)) - 1) // 0xFFFF
+                for ci, il in enumerate(range(lo0, itop - 1)):
+                    lo = il + 1
+                    ll0, l1, ll1, l2 = Llam0[ci], lam[1][ci], Llam1[ci], lam[2][ci]
+                    I = range(lo, itop)
+                    LC0 = [
+                        log[f1 ^ exp[il + lf0] ^ l1 ^ exp[i + ll0]]
+                        for i, f1, lf0 in zip(I, F1[ci:], LF0[ci:])
+                    ]
+                    C1 = [
+                        f2 ^ exp[il + lf1] ^ l2 ^ exp[i + ll1]
+                        for i, f2, lf1 in zip(I, F2[ci:], LF1[ci:])
+                    ]
+                    nx = times_alpha(X1, ones)  # a_(il+1) E_1
+                    pairs(
+                        lo, itop, jtop, LC0, C1, (E2p ^ X1) >> 16 * ci, (nx ^ Y) >> 16 * ci,
+                        [kr[ci] for kr in kap], Ts, Tw, Lw, entries0 + ((il, v),), w, u,
                     )
-                # drop lane j = i + 1 and step a_i H(j) to a_(i+1) H(j)
-                Gp >>= 16
-                Hp >>= 16
-                ones >>= 16
-                t = Hp >> ell - 1 & ones
-                Hp = (Hp ^ t << ell - 1) << 1 ^ t * fb
+                    X1 = nx
+                    Y = times_alpha(times_alpha(Y, ones), ones)
 
 
 def _rebuild(

@@ -56,12 +56,16 @@ def vt_correct(y: str, syndrome: VtSyndrome) -> str:
 
     Let s = (a - syndrome(y)) mod (n+1) and w = weight(y). If s <= w a zero
     was deleted with s ones to its right; otherwise a one was deleted with
-    s - w - 1 zeros to its left.
+    s - w - 1 zeros to its left. Either insertion raises the weighted sum
+    by exactly s, and s <= n leaves at least s - w - 1 zeros in y, so every
+    a in [0, n] is reached from every y and no other a is.
     """
     n = syndrome.n
     _check_bits(y)
     if len(y) != n - 1:
         raise ValueError(f"expected {n - 1} bits, got {len(y)}")
+    if not 0 <= syndrome.a <= n:
+        raise NoConsistentInsertion(f"syndrome {syndrome} unreachable from {y!r}")
     got = _weighted_sum(y) % (n + 1)
     s = (syndrome.a - got) % (n + 1)
     w = y.count("1")
@@ -69,12 +73,7 @@ def vt_correct(y: str, syndrome: VtSyndrome) -> str:
     if s <= w:
         # insert '0' so that exactly s ones lie to its right
         idx = len(y.rsplit("1", s)[0])
-        x = y[:idx] + "0" + y[idx:]
-    else:
-        # insert '1' after exactly s - w - 1 zeros
-        idx = len(y) - len(y.split("0", s - w - 1)[-1])
-        x = y[:idx] + "1" + y[idx:]
-
-    if vt_syndrome(x).a != syndrome.a:
-        raise NoConsistentInsertion(f"syndrome {syndrome} unreachable from {y!r}")
-    return x
+        return y[:idx] + "0" + y[idx:]
+    # insert '1' after exactly s - w - 1 zeros
+    idx = len(y) - len(y.split("0", s - w - 1)[-1])
+    return y[:idx] + "1" + y[idx:]

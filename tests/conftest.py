@@ -1,4 +1,5 @@
-"""Per-test CPU time, printed after the wall-time --durations table.
+"""Per-test CPU time, printed after the wall-time --durations table, and
+the one hypothesis profile of the property tests.
 
 Wall time of the suite swings with the host's load; CPU time counts only
 the work done, in this process and in the worker processes a test started
@@ -9,6 +10,22 @@ import os
 import time
 
 import pytest
+
+try:
+    from hypothesis import HealthCheck, settings
+except ImportError:  # a test extra; only test_properties.py needs it
+    pass
+else:
+    # every run draws the same examples, keeps no example database and
+    # allows any example time; each test sets only its max_examples
+    settings.register_profile(
+        "tier1",
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    settings.load_profile("tier1")
 
 CPU_TIMES = pytest.StashKey[dict]()
 

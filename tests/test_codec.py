@@ -426,6 +426,26 @@ class TestEngineAgainstReference:
         k = 200 * 11 - 5  # short last block
         _check_against_reference(random.Random(61), k, 11, 3, 2, "deletions", 61)
 
+    def test_carried_prefix_terms(self):
+        # each child of an erased prefix takes its terms from its parent's
+        # windows and steps the packed j-side terms by alpha: k' = 32 makes
+        # about 30 steps, ell = 16 steps the top bit of each lane,
+        # ell_last = 1 at d = 4 keeps block k'-1 out of the lanes for
+        # u >= 2 deletions, and d = 5 has two-block prefixes under several
+        # parents
+        rng = random.Random(81)
+        cases = [(256, 8, 4, 3)] * 2 + [(20 * 16 - 3, 16, 4, 3)] * 2
+        cases += [(41, 4, 5, 4), (37, 4, 5, 4)] * 2 + [(36, 5, 6, 5), (28, 4, 7, 5)] * 2
+        for t, (k, ell, c, d) in enumerate(cases):
+            mode = ("deletions", "insertions")[t % 2 if d != 4 else 0]
+            _check_against_reference(rng, k, ell, c, d, mode, t)
+        # each of the last four blocks of (41, 4, 5, 4) loses a bit: the
+        # carry there starts at alpha a_8^2, whose log passes q - 1
+        for _ in range(16):
+            msg = format(rng.getrandbits(41), "041b")
+            region = apply_edits(msg, EditPlan("deletions", (29, 33, 37, 41)))
+            check_against_reference(msg, region, 4, 5, "deletions")
+
     def test_full_width_lanes(self):
         # ell = 16 fills each 16-bit lane, so its top bit is a symbol bit
         rng = random.Random(71)

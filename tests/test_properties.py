@@ -1,10 +1,10 @@
 """Property tests over drawn code parameters and bit strings.
-derandomize=True fixes the examples, so every run of the suite checks the
-same cases."""
+The "tier1" profile of conftest.py derandomizes them, so every run of the
+suite checks the same cases."""
 
 import random
 
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gccodes import GcParams, apply_edits, gc_encode, sample_plan, subsequence_check, vt_syndrome
@@ -16,6 +16,7 @@ from vectors import (
     RECEIVED_B,
     check_against_reference,
     check_gc_decode_against_splits,
+    check_sync_exact,
 )
 
 
@@ -36,13 +37,7 @@ def edited_regions(draw):
     return msg, apply_edits(msg, plan), ell, c, mode
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=400,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=400)
 @given(edited_regions())
 def test_scan_equals_reference_and_keeps_the_message(case):
     check_against_reference(*case)
@@ -70,13 +65,7 @@ def received_words(draw):
     return msg, apply_edits(word, plan), params, mode
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=1000,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=1000)
 @given(received_words())
 @example((MSG_B, RECEIVED_B, PARAMS_16, "deletions"))  # a decoding failure
 def test_gc_decode_equals_per_split_reference(case):
@@ -116,7 +105,7 @@ def string_pairs(draw):
     return short, long
 
 
-@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(string_pairs())
 @example(("", ""))
 @example(("", "01"))
@@ -147,7 +136,7 @@ def weighted_sum_syndrome(x):
     return sum(i for i, b in enumerate(x, 1) if b == "1") % (len(x) + 1)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_vt_syndrome_is_the_weighted_sum(data):
     n = data.draw(st.one_of(st.sampled_from(PLANE_EDGES), st.integers(1, 600)))
@@ -160,3 +149,35 @@ def test_vt_syndrome_at_plane_edges():
     for n in PLANE_EDGES:
         for x in ("1" * n, ("10" * n)[:n], ("01" * n)[:n], format(rng.getrandbits(n), f"0{n}b")):
             assert vt_syndrome(x).a == weighted_sum_syndrome(x), (n, x)
+
+
+@st.composite
+def low_entropy_files(draw):
+    """(file, positions): a file of up to four pieces, each constant,
+    periodic with period 2-7, or long runs of random length, and d <= 8
+    distinct 1-indexed positions to delete from it."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["constant", "periodic", "runs"]))
+        if kind == "runs":
+            runs = draw(st.lists(st.integers(1, 400), min_size=1, max_size=12))
+            bit = draw(st.sampled_from("01"))
+            pieces.append("".join("01"[(int(bit) + t) % 2] * r for t, r in enumerate(runs)))
+            continue
+        n = draw(st.integers(1, 1500))
+        period = 1 if kind == "constant" else draw(st.integers(2, 7))
+        unit = draw(st.text("01", min_size=period, max_size=period))
+        pieces.append((unit * n)[:n])
+    fa = "".join(pieces)
+    d = draw(st.integers(0, min(8, len(fa))))
+    positions = draw(st.lists(st.integers(1, len(fa)), min_size=d, max_size=d, unique=True))
+    return fa, tuple(sorted(positions))
+
+
+@settings(max_examples=150)
+@given(low_entropy_files())
+def test_generated_low_entropy_files_synchronize_exactly(case):
+    # anchors are often hit or ambiguous here, so the raw fallback and the
+    # retries carry much of the load
+    for mode in ("vt", "gc"):
+        check_sync_exact(*case, mode)

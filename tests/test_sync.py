@@ -14,6 +14,8 @@ from gccodes import (
 )
 from gccodes.sync import _segment_ell, run_sync_trials, sync_row
 
+from vectors import check_sync_exact
+
 
 def rand_bits(n, seed):
     return format(random.Random(seed).getrandbits(n), f"0{n}b")
@@ -163,16 +165,7 @@ def _low_entropy_file(kind, n):
 def test_low_entropy_files_synchronize_exactly(kind, d, mode):
     # anchors are often ambiguous here, so the raw fallback carries the load
     fa = _low_entropy_file(kind, 3000)
-    positions = tuple(sorted(random.Random(kind).sample(range(1, 3001), d)))
-    stats = run_sync(fa, apply_edits(fa, EditPlan("deletions", positions)), SyncConfig(mode=mode))
-    assert stats.success
-    rounds = [r for r, _, _, _ in stats.ledger]
-    assert rounds == sorted(rounds)
-    assert stats.rounds == max(rounds)
-    a2b = sum(b for _, d, _, b in stats.ledger if d == "a2b")
-    b2a = sum(b for _, d, _, b in stats.ledger if d == "b2a")
-    assert (a2b, b2a) == (stats.bits_a_to_b, stats.bits_b_to_a)
-    assert stats.fallback_bits == sum(b for _, _, kind, b in stats.ledger if kind == "raw")
+    check_sync_exact(fa, tuple(sorted(random.Random(kind).sample(range(1, 3001), d))), mode)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gccodes.vt import VtSyndrome, vt_correct, vt_syndrome
+from gccodes.vt import NoConsistentInsertion, VtSyndrome, vt_correct, vt_syndrome
 
 
 def test_syndrome_examples():
@@ -19,6 +19,18 @@ def test_correct_examples():
 def test_length_mismatch():
     with pytest.raises(ValueError):
         vt_correct("10", VtSyndrome(0, 4))
+
+
+@pytest.mark.parametrize("y", ["", "0", "1", "0110", "1111111"])
+def test_out_of_range_syndrome_is_unreachable(y):
+    # the weight rule reaches exactly the a in [0, n], from any y
+    n = len(y) + 1
+    for a in (-1, n + 1):
+        with pytest.raises(NoConsistentInsertion):
+            vt_correct(y, VtSyndrome(a, n))
+    assert {vt_syndrome(vt_correct(y, VtSyndrome(a, n))).a for a in range(n + 1)} == set(
+        range(n + 1)
+    )
 
 
 @pytest.mark.parametrize("bad", ["1_1", " 11", "0b1", "+1", "abc"])

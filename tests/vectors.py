@@ -1,16 +1,20 @@
-"""Shared worked-example vectors and the reference-decoder check used
-across the test modules."""
+"""Shared worked-example vectors, the reference-decoder check and the
+exact-sync check used across the test modules."""
 
 from gccodes import (
+    EditPlan,
     Failure,
     GcParams,
     Success,
+    SyncConfig,
+    apply_edits,
     decode_case,
     decode_with_parities,
     enumerate_cases,
     gc_decode,
     recover_parities_del,
     recover_parities_ins,
+    run_sync,
 )
 from gccodes.gf import field
 from gccodes.mds import SystematicCode
@@ -96,3 +100,18 @@ def check_gc_decode_against_splits(msg: str, received: str, params: GcParams, mo
     expected = reference_candidates(splits, parities, params.k, ell, mode)
     assert msg in expected
     assert_outcome(gc_decode(received, params, mode), expected)
+
+
+def check_sync_exact(fa: str, positions: tuple[int, ...], mode: str) -> None:
+    """run_sync must rebuild file A from A less the 1-indexed `positions`,
+    and its ledger must add up: rounds in order, the per-direction and raw
+    fallback bits equal to the totals."""
+    stats = run_sync(fa, apply_edits(fa, EditPlan("deletions", positions)), SyncConfig(mode=mode))
+    assert stats.success
+    rounds = [r for r, _, _, _ in stats.ledger]
+    assert rounds == sorted(rounds)
+    assert stats.rounds == max(rounds)
+    a2b = sum(b for _, d, _, b in stats.ledger if d == "a2b")
+    b2a = sum(b for _, d, _, b in stats.ledger if d == "b2a")
+    assert (a2b, b2a) == (stats.bits_a_to_b, stats.bits_b_to_a)
+    assert stats.fallback_bits == sum(b for _, _, kind, b in stats.ledger if kind == "raw")
