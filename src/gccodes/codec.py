@@ -17,6 +17,13 @@ guess, erasure-decodes it through `SystematicCode.decode_erasures` (the
 same solver, given only the leading parities) and checks the unused
 parities afterwards by evaluating them directly.
 
+The tail rules: after deletions every run is rounded up to whole groups
+of delta+1, exact since no run loses delta+1 bits; after insertions one
+greedy pass ends each group at the first value seen delta+1 times, exact
+since no string embeds more groups and, with at most delta insertions,
+at most one string embeds (the repetition code's insertion balls are
+disjoint).
+
 Bit strings are plain Python str objects over '0'/'1'.
 """
 
@@ -191,76 +198,50 @@ def _rep_decode_del(remnant: str, rep: int, needed: int) -> str | None:
 
 
 def _rep_decode_ins(remnant: str, rep: int, groups: int) -> str | None:
-    """Decode a (rep)-repetition tail hit by insertions: find the unique
+    """Decode a (rep)-repetition tail hit by insertions: the unique
     `groups`-bit string whose rep-fold repetition embeds in the remnant.
-    Greedy leftmost matching per group with depth-first backtracking over
-    the group bit, '0' first; memoizes dead (position, group) states. The
-    search is iterative, since groups can outnumber Python's recursion
-    limit."""
-    n = len(remnant)
-    extra = n - groups * rep
-    if extra < 0:
-        return None
-    dead: set[tuple[int, int]] = set()
-    start = [0] * groups  # where the open group g began matching
-    tried = [0] * groups  # how many of the bits "01" group g has tried
-    g = 0
-    while g >= 0:
-        t = tried[g]
-        if t == 2:
-            dead.add((start[g], g))
-            g -= 1
-            continue
-        tried[g] = t + 1
-        b = "01"[t]
-        j = start[g]
-        need = rep
-        while j < n and need:
-            if remnant[j] == b:
-                need -= 1
-            j += 1
-        if need == 0 and j - (g + 1) * rep <= extra:
-            if g + 1 == groups:
-                # leftover bits are exactly the remaining insertions
-                return "".join("01"[t - 1] for t in tried)
-            if (j, g + 1) not in dead:
-                g += 1
-                start[g] = j
-                tried[g] = 0
-    return None
+
+    One greedy pass: a group ends at the first bit where one value has
+    occurred rep times since the group began, and that value is its bit.
+    (a) Ending each group as early as possible leaves the longest suffix,
+    so the pass embeds at least as many groups as any string does.
+    (b) The caller guarantees 0 <= len(remnant) - groups*rep <= delta < rep,
+    and in that range at most one `groups`-bit string embeds: the
+    insertion balls of the repetition code are disjoint (Levenshtein: a
+    code that corrects rep-1 deletions corrects rep-1 insertions).
+    So when some string embeds, the pass finds exactly `groups` groups
+    (one more would need rep more bits) and returns that string, whose
+    repetition it has just embedded; otherwise it finds fewer and returns
+    None, the same answer as a search over all strings."""
+    out = []
+    seen = {"0": 0, "1": 0}
+    for b in remnant:
+        seen[b] += 1
+        if seen[b] == rep:
+            out.append(b)
+            seen["0"] = seen["1"] = 0
+    return "".join(out) if len(out) == groups else None
 
 
 def _recover_parities(
     received: str, params: GcParams, mode: str
 ) -> tuple[str, list[tuple[str, int]]]:
-    rep = params.delta + 1
-    needed = params.c * params.ell
-    k = params.k
-    if mode == "deletions":
-        d = params.n - len(received)
-    else:
-        d = len(received) - params.n
+    deletions = mode == "deletions"
+    d = params.n - len(received) if deletions else len(received) - params.n
     if not 0 <= d <= params.delta:
         raise ValueError(
             f"received length {len(received)} not within {params.delta} edits of n={params.n}"
         )
-    parity_bits = None
-    splits = []
+    rep_decode = _rep_decode_del if deletions else _rep_decode_ins
+    found = []  # (parity bits, systematic prefix, d_s) of each feasible split
     for d_s in range(d + 1):
-        split = k - d_s if mode == "deletions" else k + d_s
-        remnant = received[split:]
-        if mode == "deletions":
-            bits = _rep_decode_del(remnant, rep, needed)
-        else:
-            bits = _rep_decode_ins(remnant, rep, needed)
-        if bits is None:
-            continue
-        if parity_bits is None:
-            parity_bits = bits
-        splits.append((received[:split], d_s))
-    if parity_bits is None:
+        split = params.k - d_s if deletions else params.k + d_s
+        bits = rep_decode(received[split:], params.delta + 1, params.c * params.ell)
+        if bits is not None:
+            found.append((bits, received[:split], d_s))
+    if not found:
         raise MalformedTail("no split yields a consistent repetition tail")
-    return parity_bits, splits
+    return found[0][0], [(prefix, d_s) for _, prefix, d_s in found]
 
 
 def recover_parities_del(received: str, params: GcParams) -> tuple[str, list[tuple[str, int]]]:

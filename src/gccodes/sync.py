@@ -28,7 +28,7 @@ from functools import partial
 from .channel import _sample_plan, apply_edits, run_trials
 from .codec import Failure, Success, _block_parities, _check_bits, decode_with_parities
 from .codec import subsequence_check
-from .vt import NoConsistentInsertion, vt_correct, vt_syndrome
+from .vt import vt_correct, vt_syndrome
 
 MODES = ("vt", "gc")
 
@@ -53,12 +53,6 @@ class SyncConfig:
             raise ValueError("delta_cap must be >= 2 in GC mode")
         if not 1 <= self.hash_len <= 128:
             raise ValueError("hash_len must be in [1, 128], the blake2b digest width")
-
-    def c_init(self, d: int) -> int:
-        return d + 1
-
-    def c_max(self, d: int) -> int:
-        return 2 * d + 3
 
 
 @dataclass(frozen=True)
@@ -187,27 +181,24 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
 
         if d == 1:
             ledger.append((rnd, "a2b", "vt_syndrome", _bits_for(seg.a_len + 1) + hash_len))
-            try:
-                candidate = vt_correct(b_seg, vt_syndrome(a_seg))
-            except NoConsistentInsertion:
-                candidate = None
-            settle(rnd, seg, a_seg, candidate)
+            settle(rnd, seg, a_seg, vt_correct(b_seg, vt_syndrome(a_seg)))
             continue
 
         if config.mode == "gc" and d <= config.delta_cap:
-            c_max = config.c_max(d)
-            ell = _segment_ell(seg.a_len, c_max)
+            ell = _segment_ell(seg.a_len, 2 * d + 3)
             if ell is not None:
-                # c parities first, then one more per round while decoding fails
-                c = config.c_init(d)
+                # d + 1 parities first, then one more per round while decoding
+                # fails, up to 2d + 3; A encodes only the c parities it sends
+                c = d + 1
                 ledger.append((rnd, "a2b", "gc_parities", c * ell + hash_len))
-                parities = _block_parities(a_seg, ell, c_max)
-                outcome = decode_with_parities(b_seg, seg.a_len, ell, parities[:c])
-                while isinstance(outcome, Failure) and c < c_max:
+                while True:
+                    parities = _block_parities(a_seg, ell, c)
+                    outcome = decode_with_parities(b_seg, seg.a_len, ell, parities)
+                    if not isinstance(outcome, Failure) or c == 2 * d + 3:
+                        break
                     rnd += 1
                     c += 1
                     ledger.append((rnd, "a2b", "gc_parity", ell))
-                    outcome = decode_with_parities(b_seg, seg.a_len, ell, parities[:c])
                 settle(rnd, seg, a_seg, outcome.message if isinstance(outcome, Success) else None)
                 continue
             # segment too large for the backing field: fall through to anchor

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ from gccodes import (
     EditPlan,
     Failure,
     GcParams,
+    MalformedTail,
     NoCandidate,
     Success,
     apply_edits,
@@ -20,7 +22,7 @@ from gccodes import (
     sample_plan,
     subsequence_check,
 )
-from gccodes.codec import _prefix_tables
+from gccodes.codec import _prefix_tables, _rep_decode_ins
 from gccodes.gf import field
 from gccodes.mds import SystematicCode
 
@@ -89,6 +91,12 @@ class TestEncode:
             gc_encode("01", PARAMS_16)
         with pytest.raises(ValueError):
             gc_encode("0a11000011010001", PARAMS_16)
+
+
+def rep_folds(groups, rep):
+    """Every groups-bit string, mapped to its rep-fold repetition."""
+    strings = ("".join(t) for t in itertools.product("01", repeat=groups))
+    return {x: "".join(b * rep for b in x) for x in strings}
 
 
 class TestParityRecovery:
@@ -161,6 +169,47 @@ class TestParityRecovery:
             recover_parities_del(CODEWORD_A[2:], PARAMS_16)
         with pytest.raises(ValueError):
             recover_parities_ins("0" * 34, PARAMS_16)
+
+    def test_insertion_tail_rule_matches_its_definition(self):
+        # every remnant of up to 12 bits with 0 <= extra < rep: the greedy
+        # pass returns the one s whose rep-fold repetition is a
+        # subsequence of the remnant, found by trying all 2^groups strings,
+        # and None when no s is
+        for rep in (2, 3, 4):
+            for groups in range(1, 12 // rep + 1):
+                folds = rep_folds(groups, rep)
+                for extra in range(min(rep, 13 - groups * rep)):
+                    for r in itertools.product("01", repeat=groups * rep + extra):
+                        remnant = "".join(r)
+                        hits = [x for x, fold in folds.items() if subsequence_check(fold, remnant)]
+                        assert len(hits) <= 1, (remnant, rep, hits)
+                        want = hits[0] if hits else None
+                        assert _rep_decode_ins(remnant, rep, groups) == want, (remnant, rep)
+
+    def test_insertion_splits_are_the_remnants_that_embed(self):
+        params = GcParams(8, 3, 3, 2)
+        rep, needed = params.delta + 1, params.c * params.ell
+        folds = rep_folds(needed, rep)
+        rng = random.Random(5)
+        rejected = 0
+        for _ in range(40):
+            cw = gc_encode(format(rng.getrandbits(8), "08b"), params)
+            d = rng.randrange(params.delta + 1)
+            pos = tuple(sorted(rng.sample(range(1, params.n + 2), d)))
+            received = apply_edits(cw, EditPlan("insertions", pos, tuple(rng.choices("01", k=d))))
+            want = []
+            for d_s in range(d + 1):
+                remnant = received[params.k + d_s :]
+                want += [(x, d_s) for x, fold in folds.items() if subsequence_check(fold, remnant)]
+            rejected += d + 1 - len(want)
+            if not want:
+                with pytest.raises(MalformedTail):
+                    recover_parities_ins(received, params)
+                continue
+            bits, splits = recover_parities_ins(received, params)
+            assert bits == want[0][0]
+            assert splits == [(received[: params.k + d_s], d_s) for _, d_s in want]
+        assert rejected
 
 
 class TestEnumerateCases:

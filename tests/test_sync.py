@@ -68,8 +68,18 @@ def test_config_validation():
             SyncConfig(hash_len=hash_len)
     assert SyncConfig(hash_len=1).hash_len == 1
     assert SyncConfig(hash_len=128).hash_len == 128
-    cfg = SyncConfig()
-    assert (cfg.c_init(2), cfg.c_max(2)) == (3, 7)
+
+
+def test_first_gc_message_carries_d_plus_one_parities():
+    # the root segment's gap d is within delta_cap, so the repair opens the
+    # ledger; ell is sized for all 2d + 3 parities ever needed
+    fa = rand_bits(600, 11)
+    for d in (2, 3):
+        fb = apply_edits(fa, EditPlan("deletions", tuple(range(100, 100 + 150 * d, 150))))
+        stats = run_sync(fa, fb, SyncConfig(mode="gc", delta_cap=d))
+        assert stats.success
+        ell = _segment_ell(600, 2 * d + 3)
+        assert stats.ledger[0] == (1, "a2b", "gc_parities", (d + 1) * ell + 32)
 
 
 class TestAnchorSplit:
