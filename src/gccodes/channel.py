@@ -80,10 +80,7 @@ def _sample_plan(
     scope: str,
     systematic_len: int | None,
 ) -> EditPlan:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    if scope not in SCOPES:
-        raise ValueError(f"scope must be one of {SCOPES}")
+    # EditPlan checks the kind and the scope
     if scope == "systematic":
         if systematic_len is None:
             raise ValueError("systematic scope needs systematic_len")

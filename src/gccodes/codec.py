@@ -264,7 +264,7 @@ def _prefix_tables(bits: str, k: int, d: int, code: SystematicCode, deletions: b
     Unerased-block symbols depend only on (block, shift), so the terms of
     any unerased run of blocks at one shift are one table difference.
 
-    gc_decode builds these once per decode on the whole received string,
+    `_decode` builds these once per decode on the whole received string,
     for the largest split d, and each split's `_scan` takes T[:d_s + 1]
     with its own region received[:k - d_s] (deletions) or
     received[:k + d_s] (insertions). An entry differs from the table built
@@ -330,8 +330,8 @@ def _scan(
     region of a k-bit message against the parities p of `code`; record
     accepted messages in `found` keyed by message, value =
     lexicographically smallest accepting assignment. T holds the prefix
-    tables for shifts 0..d (`_prefix_tables`); gc_decode builds them once
-    for all its splits, and the entries that differ from the region's own
+    tables for shifts 0..d (`_prefix_tables`); `_decode` builds them once
+    for all the splits, and the entries that differ from the region's own
     tables are never read here (see `_prefix_tables`).
 
     A guess erasing blocks i_1 < ... < i_z leaves the residual syndromes
@@ -381,7 +381,7 @@ def _scan(
 
     def accept(b: list[int], entries: tuple[tuple[int, int], ...]) -> None:
         """Check every window and solve the erased symbols, then rebuild
-        and record."""
+        and record the message with its smallest accepting assignment."""
         X = solve_erasures(gf, [i for i, _ in entries], b)
         if X is None:
             return
@@ -390,7 +390,8 @@ def _scan(
             dense = [0] * kp
             for i, v in entries:
                 dense[i] = v
-            _record(found, msg, tuple(dense))
+            if msg not in found or tuple(dense) < found[msg]:
+                found[msg] = tuple(dense)
 
     def lin(R: list[list[int]], x0: int, m: int) -> list[int]:
         """R_(m+1)[x] + a_x R_m[x] for the blocks x = x0, x0 + 1, ..."""
@@ -581,18 +582,28 @@ def _rebuild(
     return "".join(parts)
 
 
-def _record(found: dict[str, tuple[int, ...]], msg: str, dense: tuple[int, ...]) -> None:
-    cur = found.get(msg)
-    if cur is None or dense < cur:
-        found[msg] = dense
-
-
-def _outcome(found: dict[str, tuple[int, ...]]) -> DecodeOutcome:
+def _decode(
+    bits: str,
+    splits: Sequence[tuple[str, int]],
+    k: int,
+    ell: int,
+    parities: Sequence[int],
+    deletions: bool,
+) -> DecodeOutcome:
+    """Pool the candidates of every (region, d_s) split of `bits`: the
+    parity symbols must lie in the field, and the prefix tables are built
+    once, for the largest d_s (`_prefix_tables`)."""
+    code = SystematicCode(field(ell), -(-k // ell), len(parities))  # checks k' + c <= q
+    if any(not 0 <= s < code.gf.q for s in parities):
+        raise ValueError(f"parity symbols must lie in [0, {code.gf.q})")
+    T = _prefix_tables(bits, k, max(d_s for _, d_s in splits), code, deletions)
+    found: dict[str, tuple[int, ...]] = {}
+    for region, d_s in splits:
+        _scan(region, T[: d_s + 1], k, code, parities, deletions, found)
     if not found:
         return NoCandidate()
     if len(found) == 1:
-        msg, witness = next(iter(found.items()))
-        return Success(msg, witness)
+        return Success(*found.popitem())
     return Failure(frozenset(found))
 
 
@@ -602,10 +613,6 @@ def gc_decode(received: str, params: GcParams, mode: str = "deletions") -> Decod
     The edit count d is inferred from the length. Candidates are pooled
     over every feasible systematic/parity split and every assignment of
     the d systematic edits; Success needs exactly one distinct survivor.
-    The prefix tables are built once, on the whole received string, and
-    each split d_s scans with the first d_s + 1 of them; `_prefix_tables`
-    shows that the entries that differ from the split's own tables are
-    never read.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -614,16 +621,9 @@ def gc_decode(received: str, params: GcParams, mode: str = "deletions") -> Decod
         parity_bits, splits = _recover_parities(received, params, mode)
     except MalformedTail:
         return NoCandidate()
-    code = SystematicCode(field(params.ell), params.k_prime, params.c)
-    parities = tuple(
-        int(parity_bits[r * params.ell : (r + 1) * params.ell], 2) for r in range(params.c)
-    )
-    deletions = mode == "deletions"
-    T = _prefix_tables(received, params.k, max(d_s for _, d_s in splits), code, deletions)
-    found: dict[str, tuple[int, ...]] = {}
-    for region, d_s in splits:
-        _scan(region, T[: d_s + 1], params.k, code, parities, deletions, found)
-    return _outcome(found)
+    ell = params.ell
+    parities = tuple(int(parity_bits[r * ell : (r + 1) * ell], 2) for r in range(params.c))
+    return _decode(received, splits, params.k, ell, parities, mode == "deletions")
 
 
 def decode_with_parities(
@@ -640,14 +640,7 @@ def decode_with_parities(
         raise ValueError("received length inconsistent with mode")
     if len(parities) <= d:
         raise ValueError("need more than d parity symbols to decode d edits")
-    code = SystematicCode(field(ell), -(-k // ell), len(parities))  # checks k' + c <= q
-    if any(not 0 <= s < code.gf.q for s in parities):
-        raise ValueError(f"parity symbols must lie in [0, {code.gf.q})")
-    deletions = mode == "deletions"
-    found: dict[str, tuple[int, ...]] = {}
-    T = _prefix_tables(received, k, d, code, deletions)
-    _scan(received, T, k, code, parities, deletions, found)
-    return _outcome(found)
+    return _decode(received, [(received, d)], k, ell, parities, mode == "deletions")
 
 
 def decode_case(

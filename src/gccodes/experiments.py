@@ -140,28 +140,17 @@ def gamma_census(
         raise ValueError("deletion position out of range")
     if not 1 <= case_index <= kp:
         raise ValueError("case index out of range")
-    case = case_index - 1
+    a = (case_index - 1) * ell  # where the erased block starts in y
     pos = deletion_position - 1
-    groups: dict[tuple[int, tuple[int, ...]], int] = {}
+    groups: Counter[tuple[int, str]] = Counter()
     for val in range(1 << k):
         u = format(val, f"0{k}b")
         p1 = 0
-        for i in range(kp):
-            p1 ^= int(u[i * ell : (i + 1) * ell], 2)
+        for i in range(0, k, ell):
+            p1 ^= int(u[i : i + ell], 2)
         y = u[:pos] + u[pos + 1 :]
-        decoded = []
-        cursor = 0
-        acc = 0
-        for i in range(kp):
-            clen = ell - 1 if i == case else ell
-            if i != case:
-                s = int(y[cursor : cursor + clen], 2)
-                decoded.append(s)
-                acc ^= s
-            else:
-                decoded.append(-1)  # placeholder for the erasure
-            cursor += clen
-        decoded[case] = p1 ^ acc  # erasure decoding from the all-ones parity
-        key = (p1, tuple(decoded))
-        groups[key] = groups.get(key, 0) + 1
+        # the guessed symbol is p1 XOR the other blocks, so the decoded
+        # string is a function of (p1, the other blocks) and contains them:
+        # grouping by (p1, the other blocks of y) gives the same groups
+        groups[p1, y[:a] + y[a + ell - 1 :]] += 1
     return max(groups.values())

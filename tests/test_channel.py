@@ -68,6 +68,13 @@ def test_sample_plan_scope():
         sample_plan(100, 3, "deletions", "systematic", 0)
 
 
+def test_sample_plan_rejects_bad_kind_and_scope():
+    with pytest.raises(ValueError, match="kind must be one of"):
+        sample_plan(100, 3, "substitutions", seed=1)
+    with pytest.raises(ValueError, match="scope must be one of"):
+        sample_plan(100, 3, "deletions", "parity", seed=1)
+
+
 def test_sample_plan_insertions_have_bits():
     plan = sample_plan(50, 4, "insertions", seed=7)
     assert len(plan.bits) == 4

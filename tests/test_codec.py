@@ -350,6 +350,19 @@ class TestGcDecode:
         junk = "01" * 15 + "0"  # length n-1, alternating: no tail split fits
         assert gc_decode(junk, PARAMS_16) == NoCandidate()
 
+    def test_equal_length_edit_pair_leaves_no_candidate(self):
+        # one deletion and one insertion in the message keep the length n,
+        # so d = 0 and the tail is intact; the one guess, no erasure, fails
+        # the parity windows, and the scan finds nothing
+        p = GcParams(256, 8, 3, 2)
+        msg = format(random.Random(0).getrandbits(256), "0256b")
+        cw = gc_encode(msg, p)
+        rec = apply_edits(cw, EditPlan("deletions", (40,)))
+        rec = apply_edits(rec, EditPlan("insertions", (200,), ("1",)))
+        assert len(rec) == p.n and rec != cw
+        assert recover_parities_del(rec, p)[1] == [(rec[:256], 0)]
+        assert gc_decode(rec, p) == NoCandidate()
+
     def test_never_wrong_k16_exhaustive_positions(self):
         rng = random.Random(4)
         p = PARAMS_16
@@ -412,6 +425,37 @@ class TestGcDecode:
             for bit in "01":
                 out = gc_decode(cw[:pos] + bit + cw[pos:], p, "insertions")
                 assert out == Success(msg, out.witness)
+
+
+def _within_edits(word, delta, mode):
+    """Every distinct word that at most delta deletions (or insertions) make
+    from `word`."""
+    words = level = {word}
+    for _ in range(delta):
+        if mode == "deletions":
+            level = {w[:i] + w[i + 1 :] for w in level for i in range(len(w))}
+        else:
+            level = {w[:i] + b + w[i:] for w in level for i in range(len(w) + 1) for b in "01"}
+        words = words | level
+    return words
+
+
+@pytest.mark.parametrize("params", [GcParams(8, 3, 3, 2), GcParams(15, 3, 3, 2)])
+def test_tiny_code_every_edit_pattern_keeps_the_message(params):
+    # exhaustive over edit patterns, sampled over messages; (15, 3, 3, 2)
+    # has k' + c = q = 8, the largest code its field allows
+    k = params.k
+    rng = random.Random(k)
+    msgs = ["0" * k, "1" * k] + [format(rng.getrandbits(k), f"0{k}b") for _ in range(8)]
+    for msg in msgs:
+        cw = gc_encode(msg, params)
+        for mode in ("deletions", "insertions"):
+            for rec in _within_edits(cw, params.delta, mode):
+                out = gc_decode(rec, params, mode)
+                if isinstance(out, Success):
+                    assert out.message == msg
+                else:
+                    assert isinstance(out, Failure) and msg in out.candidates
 
 
 def _check_against_reference(rng, k, ell, c, d, mode, seed):
@@ -557,6 +601,15 @@ class TestDecodeWithParities:
                     assert out.message == msg
                 else:
                     assert isinstance(out, Failure)
+
+    def test_other_messages_parities_leave_no_candidate(self):
+        k, ell, kp = 60, 6, 10
+        rng = random.Random(1)
+        msg, other = (format(rng.getrandbits(k), f"0{k}b") for _ in range(2))
+        syms = [int(other[i * ell : (i + 1) * ell], 2) for i in range(kp)]
+        parities = SystematicCode(field(ell), kp, 3).encode(syms)
+        region = msg[:10] + msg[11:]
+        assert decode_with_parities(region, k, ell, parities) == NoCandidate()
 
     def test_needs_enough_parities(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,18 @@
 The "tier1" profile of conftest.py derandomizes them, so every run of the
 suite checks the same cases."""
 
+import io
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gccodes import GcParams, apply_edits, gc_encode, sample_plan, subsequence_check, vt_syndrome
+from gccodes.cli import main
 from gccodes.codec import MODES
 
 from vectors import (
@@ -181,3 +187,93 @@ def test_generated_low_entropy_files_synchronize_exactly(case):
     # retries carry much of the load
     for mode in ("vt", "gc"):
         check_sync_exact(*case, mode)
+
+
+CODE_16 = ["--k", "16", "--ell", "4", "--c", "2", "--delta", "1"]  # PARAMS_16
+JUNK = st.sampled_from(["", "x", "1.5", "-3", "0", "7,2"])
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, bit file text): a well-formed call of one command on a small
+    code, then up to two breaks: a flag value replaced by junk, a flag
+    dropped, a token added or the bit file replaced by drawn text.
+    --trials, --workers and --file-bits stay small and --trials is never
+    dropped (the default runs thousands of trials), so that no example
+    allocates much memory or starts a process."""
+    command = draw(st.sampled_from(["encode", "decode", "corrupt", "simulate", "sweep", "sync"]))
+    ell = draw(st.integers(2, 5))
+    delta = draw(st.integers(1, 2))
+    c = draw(st.integers(delta + 1, min(delta + 2, (1 << ell) - 1)))
+    params = GcParams(draw(st.integers(1, min(12, ell * ((1 << ell) - c)))), ell, c, delta)
+    mode = draw(st.sampled_from(MODES))
+    text = draw(st.text("01", min_size=params.k, max_size=params.k))
+    code = {"--k": params.k, "--ell": ell, "--c": c, "--delta": delta}
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    runs = {"--trials": draw(st.integers(1, 2)), "--format": fmt}
+    if command == "encode":
+        flags = code
+    elif command == "decode":
+        word = gc_encode(text, params)
+        d = draw(st.integers(0, delta))
+        text = apply_edits(word, sample_plan(len(word), d, mode, seed=draw(st.integers(0, 99))))
+        flags = {**code, "--mode": mode}
+    elif command == "corrupt":
+        scope = draw(st.sampled_from(["whole", "systematic"]))
+        d = draw(st.integers(0, 3))
+        flags = {"--delta": d, "--mode": mode, "--scope": scope, "--k": params.k}
+    elif command == "simulate":
+        flags = {**code, "--mode": mode, **runs}
+    elif command == "sweep":
+        grid = st.lists(st.sampled_from("2345"), min_size=1, max_size=2).map(",".join)
+        grids = {"--ell-grid": draw(grid), "--c-grid": draw(grid)}
+        flags = {"--k": params.k, "--delta": delta, **grids, "--mode": mode, **runs}
+    else:
+        sync_mode = draw(st.sampled_from(["vt", "gc", "both"]))
+        size = {"--file-bits": draw(st.integers(1, 300)), "--d": draw(st.integers(0, 5))}
+        flags = {**size, "--mode": sync_mode, **runs}
+    flags = {f: str(v) for f, v in flags.items()}
+    tokens = []
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["junk", "drop", "token", "text", "flip"]))
+        flag = draw(st.sampled_from(sorted(flags)))
+        if how == "junk":
+            flags[flag] = draw(JUNK)
+        elif how == "drop" and flag != "--trials":
+            del flags[flag]
+        elif how == "token":
+            tokens.append(draw(st.sampled_from(["--bogus", "extra", "--", "-x"])))
+        elif how == "text":
+            text = draw(st.text("01\n2a é", max_size=40))
+        elif how == "flip" and text:
+            pos = draw(st.integers(0, len(text) - 1))
+            text = text[:pos] + "10"[text[pos] == "1"] + text[pos + 1 :]
+    argv = [command, *(x for f, v in flags.items() for x in (f, v)), *tokens]
+    return argv, text
+
+
+@settings(max_examples=150)
+@given(
+    cli_calls(),
+    st.sampled_from(["file", "file", "missing", "-", None]),
+    st.sampled_from([None, None, "file", "dir"]),
+)
+@example((["decode", *CODE_16], RECEIVED_B), "file", None)  # exit 2
+@example((["decode", *CODE_16], "01" * 15 + "0"), "-", None)  # exit 3
+@example((["encode", *CODE_16], ""), "file", None)  # an empty bit file
+def test_cli_exits_with_a_code_and_never_raises(call, source, target):
+    argv, text = [*call[0]], call[1]
+    if argv[0] not in ("encode", "decode", "corrupt"):
+        source = None  # only these read a bit file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bits.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if source is not None:
+            argv += ["--in", {"file": path, "missing": path + ".gone"}.get(source, source)]
+        if target is not None:
+            argv += ["--out", os.path.join(tmp, "out.txt") if target == "file" else tmp]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            with mock.patch("sys.stdin", io.StringIO(text)):  # read for "-" and no --in
+                code = main(argv)  # an exception here is the traceback the CLI must not end in
+    assert code in (0, 1, 2, 3)
