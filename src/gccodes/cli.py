@@ -2,8 +2,8 @@
 simulation, trade-off sweeps, and sync simulation with CSV/JSON output.
 
 Bit files are ASCII '0'/'1' text, optionally newline-terminated. Exit
-codes: 0 success, 1 malformed input or bad parameters, 2 decode failure
-(candidate count plus candidates on stdout), 3 no decode candidate.
+codes: 0 success, 1 malformed input, bad parameters or failed I/O, 2 decode
+failure (candidate count plus candidates on stdout), 3 no decode candidate.
 """
 
 from __future__ import annotations
@@ -14,37 +14,31 @@ import io
 import json
 import sys
 
-from .channel import apply_edits, sample_plan
+from .channel import KINDS, SCOPES, apply_edits, sample_plan
 from .codec import Failure, GcParams, Success, gc_decode, gc_encode
 from .experiments import estimate_pf, estimate_row, sweep
+from .sync import MODES as SYNC_MODES
 from .sync import SyncConfig, run_sync_trials, sync_row
-
-
-class CliError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
     # the 0/1/2/3 exit contract reserves 2 for decode failures, so argparse
     # errors must surface as exit 1 instead of its default 2
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _read_bits(path: str | None) -> str:
     if path is None or path == "-":
         text = sys.stdin.read()
     else:
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(str(exc))
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
     bits = text.replace("\n", "")
     if bits.strip("01"):
-        raise CliError("bit file may contain only '0', '1' and newlines")
+        raise ValueError("bit file may contain only '0', '1' and newlines")
     if not bits:
-        raise CliError("bit file is empty")
+        raise ValueError("bit file is empty")
     return bits
 
 
@@ -52,11 +46,8 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        try:
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(str(exc))
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
 
 
 def _write_rows(rows: list[dict], fmt: str, path: str | None) -> None:
@@ -80,7 +71,7 @@ def _add_code_flags(p, with_mode=False):
     p.add_argument("--c", type=int, required=True, help="number of MDS parity symbols")
     p.add_argument("--delta", type=int, required=True, help="design edit count")
     if with_mode:
-        p.add_argument("--mode", choices=("deletions", "insertions"), default="deletions")
+        p.add_argument("--mode", choices=KINDS, default="deletions")
 
 
 def _add_io_flags(p):
@@ -101,39 +92,45 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="encode a message bit file")
+    p.set_defaults(run=_cmd_encode)
     _add_code_flags(p)
     _add_io_flags(p)
 
     p = sub.add_parser("decode", help="decode a received bit file")
+    p.set_defaults(run=_cmd_decode)
     _add_code_flags(p, with_mode=True)
     _add_io_flags(p)
 
     p = sub.add_parser("corrupt", help="apply a random edit plan to a bit file")
+    p.set_defaults(run=_cmd_corrupt)
     p.add_argument("--delta", type=int, required=True, help="number of edits to apply")
-    p.add_argument("--mode", choices=("deletions", "insertions"), default="deletions")
-    p.add_argument("--scope", choices=("whole", "systematic"), default="whole")
+    p.add_argument("--mode", choices=KINDS, default="deletions")
+    p.add_argument("--scope", choices=SCOPES, default="whole")
     p.add_argument("--k", type=int, default=None, help="systematic length (for --scope systematic)")
     p.add_argument("--seed", type=int, default=0)
     _add_io_flags(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo failure-rate estimate")
+    p.set_defaults(run=_cmd_simulate)
     _add_code_flags(p, with_mode=True)
-    p.add_argument("--scope", choices=("whole", "systematic"), default="whole")
+    p.add_argument("--scope", choices=SCOPES, default="whole")
     _add_run_flags(p, 10000)
 
     p = sub.add_parser("sweep", help="failure-rate sweep over ell and c grids")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--ell-grid", required=True, help="comma-separated chunk lengths")
     p.add_argument("--c-grid", required=True, help="comma-separated parity counts")
-    p.add_argument("--mode", choices=("deletions", "insertions"), default="deletions")
-    p.add_argument("--scope", choices=("whole", "systematic"), default="whole")
+    p.add_argument("--mode", choices=KINDS, default="deletions")
+    p.add_argument("--scope", choices=SCOPES, default="whole")
     _add_run_flags(p, 10000)
 
     p = sub.add_parser("sync", help="two-node synchronization simulation")
+    p.set_defaults(run=_cmd_sync)
     p.add_argument("--file-bits", type=int, required=True)
     p.add_argument("--d", type=int, required=True, help="number of deleted bits")
-    p.add_argument("--mode", choices=("vt", "gc", "both"), default="both")
+    p.add_argument("--mode", choices=(*SYNC_MODES, "both"), default="both")
     p.add_argument("--anchor-len", type=int, default=25)
     p.add_argument("--delta-cap", type=int, default=2)
     p.add_argument("--hash-len", type=int, default=32)
@@ -197,7 +194,7 @@ def _cmd_sweep(args) -> int:
         ells = tuple(int(v) for v in args.ell_grid.split(","))
         cs = tuple(int(v) for v in args.c_grid.split(","))
     except ValueError:
-        raise CliError("grids must be comma-separated integers")
+        raise ValueError("grids must be comma-separated integers")
     ests = sweep(
         args.k, args.delta, ells, cs, args.trials, args.seed, args.mode, args.scope, args.workers
     )
@@ -206,7 +203,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sync(args) -> int:
-    modes = ("vt", "gc") if args.mode == "both" else (args.mode,)
+    modes = SYNC_MODES if args.mode == "both" else (args.mode,)
     # every config is validated before the first trial runs
     cfgs = [
         SyncConfig(
@@ -217,31 +214,22 @@ def _cmd_sync(args) -> int:
     rows = []
     for cfg in cfgs:
         stats = run_sync_trials(
-            args.file_bits, args.d, args.trials, cfg.mode, args.seed, cfg, args.workers
+            args.file_bits, args.d, args.trials, cfg, args.seed, args.workers
         )
         rows.append(sync_row(cfg.mode, args.file_bits, args.d, stats, args.seed))
     _write_rows(rows, args.format, args.out)
     return 0
 
 
-_COMMANDS = {
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "corrupt": _cmd_corrupt,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "sync": _cmd_sync,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except (CliError, ValueError, OverflowError) as exc:
-        # OverflowError: a size argument past what the interpreter can
-        # allocate, such as --file-bits beyond a C int
+        return args.run(args)
+    except (ValueError, OverflowError, OSError) as exc:
+        # ValueError: bad flags, values or bit files; OverflowError: a size past
+        # what the interpreter can allocate, such as --file-bits beyond a C int;
+        # OSError: a failed read of --in or stdin, or write of --out or stdout
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

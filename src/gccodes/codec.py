@@ -241,6 +241,13 @@ def _recover_parities(
             found.append((bits, received[:split], d_s))
     if not found:
         raise MalformedTail("no split yields a consistent repetition tail")
+    # Within delta edits of a codeword every feasible split decodes the true
+    # bits, so found[0][0] serves for all. Deletions: a split that takes tail
+    # bits deletes fewer than rep of them in all, which rounding undoes; one
+    # that takes message bits adds a group (infeasible) or changes no count.
+    # Insertions: of this remnant and the true one, the longer ends with the
+    # other, is under rep bits longer than the tail and embeds both rep-folds,
+    # which the disjoint insertion balls then make equal.
     return found[0][0], [(prefix, d_s) for _, prefix, d_s in found]
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from .channel import _sample_plan, apply_edits, run_trials
@@ -236,17 +236,15 @@ def run_sync_trials(
     file_bits: int,
     d: int,
     trials: int,
-    mode: str,
+    config: SyncConfig,
     seed: int = 0,
-    config: SyncConfig | None = None,
     workers: int = 1,
 ) -> list[SyncStats]:
-    """Random-instance trials; trial t depends only on (seed, t), so VT and
-    GC runs with the same seed synchronize the same file pairs."""
+    """Random-instance trials under `config`; trial t depends only on (seed, t),
+    so VT and GC configs with the same seed synchronize the same file pairs."""
     if file_bits < 1:
         raise ValueError("file_bits must be positive")
-    cfg = replace(config or SyncConfig(), mode=mode)
-    return run_trials(partial(_sync_trial, file_bits, d, cfg), trials, seed, workers)
+    return run_trials(partial(_sync_trial, file_bits, d, config), trials, seed, workers)
 
 
 def sync_row(mode: str, file_bits: int, d: int, stats: list[SyncStats], seed: int) -> dict:

@@ -22,7 +22,7 @@ from gccodes import (
 )
 from gccodes.gf import field
 from gccodes.mds import SystematicCode
-from gccodes.sync import run_sync_trials, sync_row
+from gccodes.sync import SyncConfig, run_sync_trials, sync_row
 
 from vectors import (
     MSG_A,
@@ -238,7 +238,7 @@ def test_criterion_13_sync_simulator():
     rows = {}
     for d in (25, 50):
         for mode in ("vt", "gc"):
-            stats = run_sync_trials(100_000, d, trials=100, mode=mode, seed=50 + d)
+            stats = run_sync_trials(100_000, d, trials=100, config=SyncConfig(mode), seed=50 + d)
             assert all(s.success for s in stats)
             rows[(mode, d)] = sync_row(mode, 100_000, d, stats, 50 + d)
     lines = []

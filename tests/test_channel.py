@@ -5,7 +5,7 @@ import pytest
 
 import gccodes.channel
 from gccodes import EditPlan, GcParams, Success, apply_edits, estimate_pf, gc_decode, sample_plan
-from gccodes.sync import run_sync_trials
+from gccodes.sync import SyncConfig, run_sync_trials
 
 from vectors import CODEWORD_A, MSG_A, PARAMS_16, RECEIVED_A
 
@@ -124,7 +124,7 @@ def test_pool_is_bounded_by_trials_and_cpus(monkeypatch):
     est = estimate_pf(p, trials=3, seed=4, workers=10**6)
     assert all(n <= min(3, cpus) for n in built)  # vacuous on one CPU: no pool at all
     built.clear()
-    stats = run_sync_trials(2000, 3, trials=2, mode="gc", seed=4, workers=10**6)
+    stats = run_sync_trials(2000, 3, trials=2, config=SyncConfig("gc"), seed=4, workers=10**6)
     assert all(n <= min(2, cpus) for n in built)
     serial = estimate_pf(p, trials=3, seed=4, workers=1)
     assert (est.failures, est.wrong_successes, est.no_candidates) == (
@@ -132,4 +132,4 @@ def test_pool_is_bounded_by_trials_and_cpus(monkeypatch):
         serial.wrong_successes,
         serial.no_candidates,
     )
-    assert stats == run_sync_trials(2000, 3, trials=2, mode="gc", seed=4, workers=1)
+    assert stats == run_sync_trials(2000, 3, trials=2, config=SyncConfig("gc"), seed=4, workers=1)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import subprocess
 import sys
@@ -76,6 +77,33 @@ def test_unwritable_out_path_exits_one(tmp_path, capsys):
     out = tmp_path / "missing" / "cw.txt"
     code, _, err = run(["encode", *CODE_FLAGS, "--in", str(src), "--out", str(out)], capsys)
     assert code == 1 and "error" in err
+
+
+class _UnreadableStdin:
+    def read(self):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+class _ClosedPipeStdout:
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_stdin_and_stdout_errors_exit_one(tmp_path, monkeypatch, capsys):
+    # a failed read of stdin or write to stdout is an I/O error like an
+    # unreadable --in or unwritable --out: exit 1, never a traceback
+    src = tmp_path / "msg.txt"
+    src.write_text(MSG_A + "\n")
+    calls = [
+        ("stdin", _UnreadableStdin(), ["decode", *CODE_FLAGS]),
+        ("stdout", _ClosedPipeStdout(), ["encode", *CODE_FLAGS, "--in", str(src)]),
+    ]
+    for stream, stub, argv in calls:
+        with monkeypatch.context() as m:
+            m.setattr(sys, stream, stub)
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: "), (stream, err)
 
 
 def test_sync_without_trials_exits_one(capsys):

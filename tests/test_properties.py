@@ -12,9 +12,18 @@ from unittest import mock
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gccodes import GcParams, apply_edits, gc_encode, sample_plan, subsequence_check, vt_syndrome
+from gccodes import (
+    GcParams,
+    apply_edits,
+    gc_encode,
+    recover_parities_del,
+    recover_parities_ins,
+    sample_plan,
+    subsequence_check,
+    vt_syndrome,
+)
 from gccodes.cli import main
-from gccodes.codec import MODES
+from gccodes.codec import MODES, _rep_decode_del, _rep_decode_ins
 
 from vectors import (
     MSG_B,
@@ -50,12 +59,12 @@ def test_scan_equals_reference_and_keeps_the_message(case):
 
 
 @st.composite
-def received_words(draw):
+def received_words(draw, max_ell=16):
     """(message, received, params, mode): a GC codeword hit by d <= delta <= 4
     edits, mostly delta, in the message or anywhere, tail included. Short
     last blocks (ell_last < delta) and single-block messages (k' = 1, so
     k <= ell) are drawn often."""
-    ell = draw(st.integers(2, 16))
+    ell = draw(st.integers(2, max_ell))
     delta = draw(st.integers(1, min(4, ell)))
     q = 1 << ell
     c = draw(st.integers(delta + 1, min(delta + 3, q - 1)))
@@ -76,6 +85,22 @@ def received_words(draw):
 @example((MSG_B, RECEIVED_B, PARAMS_16, "deletions"))  # a decoding failure
 def test_gc_decode_equals_per_split_reference(case):
     check_gc_decode_against_splits(*case)
+
+
+@settings(max_examples=300)
+@given(received_words(max_ell=8))
+def test_every_feasible_split_decodes_the_true_parity_bits(case):
+    # gc_decode reads the parity bits of the first feasible split only, and
+    # checks every split against them (codec._recover_parities)
+    msg, received, params, mode = case
+    rep = params.delta + 1
+    true_bits = gc_encode(msg, params)[params.k :: rep]
+    recover = recover_parities_del if mode == "deletions" else recover_parities_ins
+    rep_decode = _rep_decode_del if mode == "deletions" else _rep_decode_ins
+    parity_bits, splits = recover(received, params)
+    assert parity_bits == true_bits
+    for prefix, d_s in splits:
+        assert rep_decode(received[len(prefix) :], rep, len(true_bits)) == true_bits, d_s
 
 
 def greedy_subsequence(short, long):

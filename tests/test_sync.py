@@ -14,7 +14,7 @@ from gccodes import (
 )
 from gccodes.sync import _segment_ell, run_sync_trials, sync_row
 
-from vectors import check_sync_exact
+from vectors import check_sync_exact, check_sync_pair
 
 
 def rand_bits(n, seed):
@@ -210,28 +210,53 @@ def test_random_small_files_synchronize_exactly():
             assert stats.success, (mode, trial, n, d)
 
 
+def _deletion_results(fa, max_d):
+    """Every distinct string left by deleting at most max_d bits of fa."""
+    results, level = {fa}, {fa}
+    for _ in range(min(max_d, len(fa))):
+        level = {x[:i] + x[i + 1 :] for x in level for i in range(len(x))}
+        results |= level
+    return results
+
+
+def test_tiny_files_synchronize_exactly_under_every_config():
+    # every file of 1-5 bits and a seeded sample of 6-9-bit ones, every
+    # distinct result of deleting up to 4 bits, and VT and GC with
+    # anchor_len 1-3 (GC: delta_cap 2-3); the GC repairs here have k' <= 3
+    # blocks, where the edge cases of _segment_ell and top() live
+    rng = random.Random(16)
+    files = [format(v, f"0{n}b") for n in range(1, 6) for v in range(1 << n)]
+    files += [format(v, f"0{n}b") for n in range(6, 10) for v in rng.sample(range(1 << n), 6)]
+    configs = [SyncConfig("vt", anchor_len=a) for a in (1, 2, 3)]
+    configs += [SyncConfig("gc", anchor_len=a, delta_cap=cap) for a in (1, 2, 3) for cap in (2, 3)]
+    for fa in files:
+        for fb in _deletion_results(fa, 4):
+            for config in configs:
+                check_sync_pair(fa, fb, config)
+
+
 def test_trials_harness_shares_instances_between_modes():
-    vt = run_sync_trials(4000, 5, trials=4, mode="vt", seed=11)
-    gc = run_sync_trials(4000, 5, trials=4, mode="gc", seed=11)
+    vt = run_sync_trials(4000, 5, trials=4, config=SyncConfig("vt"), seed=11)
+    gc = run_sync_trials(4000, 5, trials=4, config=SyncConfig("gc"), seed=11)
     assert all(s.success for s in vt + gc)
     row = sync_row("vt", 4000, 5, vt, 11)
     assert row["success_rate"] == 1.0
     assert row["trials"] == 4
-    again = run_sync_trials(4000, 5, trials=4, mode="vt", seed=11)
+    again = run_sync_trials(4000, 5, trials=4, config=SyncConfig("vt"), seed=11)
     assert [s.bits_a_to_b for s in again] == [s.bits_a_to_b for s in vt]
 
 
 def test_trials_harness_rejects_no_trials():
     with pytest.raises(ValueError):
-        run_sync_trials(100, 2, trials=0, mode="gc")
+        run_sync_trials(100, 2, trials=0, config=SyncConfig("gc"))
 
 
 @pytest.mark.parametrize("mode", ["vt", "gc"])
 def test_trials_harness_pool_matches_serial(mode):
-    serial = run_sync_trials(4000, 5, trials=4, mode=mode, seed=11, workers=1)
-    assert run_sync_trials(4000, 5, trials=4, mode=mode, seed=11, workers=2) == serial
+    serial = run_sync_trials(4000, 5, trials=4, config=SyncConfig(mode), seed=11, workers=1)
+    assert run_sync_trials(4000, 5, trials=4, config=SyncConfig(mode), seed=11, workers=2) == serial
 
 
 def test_trials_harness_rejects_empty_file():
     with pytest.raises(ValueError):
-        run_sync_trials(0, 0, 1, "gc")
+        run_sync_trials(0, 0, 1, SyncConfig("gc"))

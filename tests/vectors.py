@@ -103,15 +103,21 @@ def check_gc_decode_against_splits(msg: str, received: str, params: GcParams, mo
 
 
 def check_sync_exact(fa: str, positions: tuple[int, ...], mode: str) -> None:
-    """run_sync must rebuild file A from A less the 1-indexed `positions`,
-    and its ledger must add up: rounds in order, the per-direction and raw
-    fallback bits equal to the totals."""
-    stats = run_sync(fa, apply_edits(fa, EditPlan("deletions", positions)), SyncConfig(mode=mode))
-    assert stats.success
+    """check_sync_pair on A less the 1-indexed `positions`."""
+    check_sync_pair(fa, apply_edits(fa, EditPlan("deletions", positions)), SyncConfig(mode=mode))
+
+
+def check_sync_pair(fa: str, fb: str, config: SyncConfig) -> None:
+    """run_sync must rebuild file A from file B, and its ledger must add up:
+    rounds in order, the per-direction and raw fallback bits equal to the
+    totals."""
+    stats = run_sync(fa, fb, config)
+    where = (fa, fb, config)
+    assert stats.success, where
     rounds = [r for r, _, _, _ in stats.ledger]
-    assert rounds == sorted(rounds)
-    assert stats.rounds == max(rounds)
+    assert rounds == sorted(rounds), where
+    assert stats.rounds == max(rounds), where
     a2b = sum(b for _, d, _, b in stats.ledger if d == "a2b")
     b2a = sum(b for _, d, _, b in stats.ledger if d == "b2a")
-    assert (a2b, b2a) == (stats.bits_a_to_b, stats.bits_b_to_a)
-    assert stats.fallback_bits == sum(b for _, _, kind, b in stats.ledger if kind == "raw")
+    assert (a2b, b2a) == (stats.bits_a_to_b, stats.bits_b_to_a), where
+    assert stats.fallback_bits == sum(b for _, _, kind, b in stats.ledger if kind == "raw"), where
