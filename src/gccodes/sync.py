@@ -118,27 +118,21 @@ def anchor_split(
 ) -> tuple[SegmentPair, SegmentPair] | None:
     """Split on the anchor made of the center bits of A's segment.
 
-    B scans the d+1 offsets the anchor can occupy after d deletions; only a
-    unique exact occurrence splits. The matched anchor itself is known
-    synchronized and belongs to neither child, so the children's gaps sum
-    to the parent's."""
-    d = pair.d
+    B searches the d+1 offsets the anchor can occupy after d deletions for
+    a first and then a second exact occurrence; only a unique one splits.
+    The matched anchor itself is known synchronized and belongs to neither
+    child, so the children's gaps sum to the parent's."""
     a_len = pair.a_len
     L = min(config.anchor_len, a_len)
     h = (a_len - L) // 2
     anchor = file_a[pair.a_lo + h : pair.a_lo + h + L]
-    lo = max(0, h - d)
-    hi = min(h, pair.b_len - L)
-    matches = [
-        o
-        for o in range(lo, hi + 1)
-        if file_b[pair.b_lo + o : pair.b_lo + o + L] == anchor
-    ]
-    if len(matches) != 1:
+    start = pair.b_lo + max(0, h - pair.d)
+    end = pair.b_lo + min(h, pair.b_len - L) + L  # a match must end by here
+    o = file_b.find(anchor, start, end)
+    if o < 0 or file_b.find(anchor, o + 1, end) >= 0:
         return None
-    o = matches[0]
-    left = SegmentPair(pair.a_lo, pair.a_lo + h, pair.b_lo, pair.b_lo + o)
-    right = SegmentPair(pair.a_lo + h + L, pair.a_hi, pair.b_lo + o + L, pair.b_hi)
+    left = SegmentPair(pair.a_lo, pair.a_lo + h, pair.b_lo, o)
+    right = SegmentPair(pair.a_lo + h + L, pair.a_hi, o + L, pair.b_hi)
     return left, right
 
 
@@ -162,8 +156,11 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
 
     def settle(rnd: int, seg: SegmentPair, a_seg: str, candidate: str | None) -> None:
         """Commit a candidate whose hash matches A's; otherwise A sends the
-        segment raw in the next round and B commits A's bits."""
-        if candidate is None or _digest(candidate, hash_len) != _digest(a_seg, hash_len):
+        segment raw in the next round and B commits A's bits. Equal strings
+        have equal hashes, so only a differing candidate is hashed."""
+        if candidate != a_seg and (
+            candidate is None or _digest(candidate, hash_len) != _digest(a_seg, hash_len)
+        ):
             ledger.append((rnd + 1, "a2b", "raw", seg.a_len))
             candidate = a_seg
         pieces.append((seg.a_lo, candidate))

@@ -8,11 +8,16 @@ which is what makes the correction zero-error.
 The weighted sum comes from bit-plane popcounts of X = int(x, 2), whose bit
 p is position n - p: n * popcount(X) - sum over h = 1, 2, 4, ... of
 h * popcount(X & plane_h), where plane_h masks the p that have bit h set.
+The planes depend only on the power-of-two span that covers n, so each
+span's table is built once and cached. The correction parses its string
+once and finds the insertion point by counting bits in halving windows,
+without building substrings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .codec import _check_bits
 
@@ -27,19 +32,29 @@ class VtSyndrome:
     n: int  # length of the original string
 
 
-def _weighted_sum(x: str) -> int:
-    """sum(i * x_i) over the 1-indexed positions of the bit string x."""
-    n = len(x)
-    X = int(x or "0", 2)  # bit p of X is position n - p
-    total = n * X.bit_count()
+@lru_cache(maxsize=None)
+def _planes(span_bits: int) -> tuple[tuple[int, int], ...]:
+    """(h, plane_h) for h = 1, 2, 4, ... < 2**span_bits, each plane
+    covering the positions p < 2**span_bits."""
+    span = 1 << span_bits
+    planes = []
     h = 1
-    while h < n:
+    while h < span:
         plane, width = ((1 << h) - 1) << h, 2 * h  # the p < 2h that have bit h
-        while width < n:
+        while width < span:
             plane |= plane << width
             width *= 2
-        total -= h * (X & plane).bit_count()
+        planes.append((h, plane))
         h *= 2
+    return tuple(planes)
+
+
+def _weighted_sum(X: int, n: int) -> int:
+    """sum(i * x_i) over the 1-indexed positions of the n-bit string x whose
+    int(x, 2) is X (bit p of X is position n - p)."""
+    total = n * X.bit_count()
+    for h, plane in _planes((n - 1).bit_length()):
+        total -= h * (X & plane).bit_count()
     return total
 
 
@@ -48,17 +63,19 @@ def vt_syndrome(x: str) -> VtSyndrome:
     if n < 1:
         raise ValueError("need at least one bit")
     _check_bits(x)
-    return VtSyndrome(_weighted_sum(x) % (n + 1), n)
+    return VtSyndrome(_weighted_sum(int(x, 2), n) % (n + 1), n)
 
 
 def vt_correct(y: str, syndrome: VtSyndrome) -> str:
     """Reinsert the single deleted bit into y.
 
     Let s = (a - syndrome(y)) mod (n+1) and w = weight(y). If s <= w a zero
-    was deleted with s ones to its right; otherwise a one was deleted with
-    s - w - 1 zeros to its left. Either insertion raises the weighted sum
-    by exactly s, and s <= n leaves at least s - w - 1 zeros in y, so every
-    a in [0, n] is reached from every y and no other a is.
+    was deleted with s ones to its right, so it goes just past the
+    (w - s)-th one; otherwise a one was deleted with s - w - 1 zeros to its
+    left. Either insertion raises the weighted sum by exactly s, and s <= n
+    leaves at least s - w - 1 zeros in y, so every a in [0, n] is reached
+    from every y and no other a is. The new bit lands inside a run of equal
+    bits, so any index in that run gives the same string.
     """
     n = syndrome.n
     _check_bits(y)
@@ -66,14 +83,19 @@ def vt_correct(y: str, syndrome: VtSyndrome) -> str:
         raise ValueError(f"expected {n - 1} bits, got {len(y)}")
     if not 0 <= syndrome.a <= n:
         raise NoConsistentInsertion(f"syndrome {syndrome} unreachable from {y!r}")
-    got = _weighted_sum(y) % (n + 1)
-    s = (syndrome.a - got) % (n + 1)
-    w = y.count("1")
+    Y = int(y or "0", 2)
+    s = (syndrome.a - _weighted_sum(Y, n - 1)) % (n + 1)
+    w = Y.bit_count()
+    bit, other, k = ("0", "1", w - s) if s <= w else ("1", "0", s - w - 1)
 
-    if s <= w:
-        # insert '0' so that exactly s ones lie to its right
-        idx = len(y.rsplit("1", s)[0])
-        return y[:idx] + "0" + y[idx:]
-    # insert '1' after exactly s - w - 1 zeros
-    idx = len(y) - len(y.split("0", s - w - 1)[-1])
-    return y[:idx] + "1" + y[idx:]
+    # bisect for the smallest idx with k `other` bits in y[:idx], counting only
+    # the window [lo, mid) each step: k is what y[lo:] must still supply
+    lo, hi = 0, len(y)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        m = y.count(other, lo, mid)
+        if m >= k:
+            hi = mid
+        else:
+            lo, k = mid + 1, k - m - (y[mid] == other)
+    return y[:lo] + bit + y[lo:]

@@ -106,6 +106,44 @@ class TestAnchorSplit:
         assert anchor_split(fa, fb, SegmentPair(0, 20, 0, 18), SyncConfig(mode="gc")) is None
 
 
+def _split_by_definition(fa, fb, pair, anchor_len):
+    """Every offset in [lo, hi] where B holds the anchor; a split iff one."""
+    L = min(anchor_len, pair.a_len)
+    h = (pair.a_len - L) // 2
+    anchor = fa[pair.a_lo + h : pair.a_lo + h + L]
+    lo, hi = max(0, h - pair.d), min(h, pair.b_len - L)
+    hits = [o for o in range(lo, hi + 1) if fb[pair.b_lo + o : pair.b_lo + o + L] == anchor]
+    if len(hits) != 1:
+        return None, lo > hi, L == pair.a_len, len(hits)
+    o = pair.b_lo + hits[0]
+    left = SegmentPair(pair.a_lo, pair.a_lo + h, pair.b_lo, o)
+    right = SegmentPair(pair.a_lo + h + L, pair.a_hi, o + L, pair.b_hi)
+    return (left, right), lo > hi, L == pair.a_len, 1
+
+
+def test_anchor_split_matches_its_definition():
+    # random and low-entropy files, segments of every gap up to their
+    # length, and anchors from one bit to longer than the segment
+    rng = random.Random(15)
+    seen = set()
+    for trial in range(600):
+        kind = rng.choice(["random", "constant", "period2", "period3", "runs"])
+        n = rng.randrange(2, 120)
+        fa = rand_bits(n, trial) if kind == "random" else _low_entropy_file(kind, n)
+        positions = tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(n))))
+        fb = apply_edits(fa, EditPlan("deletions", positions))
+        a_lo = rng.randrange(n)
+        a_hi = rng.randrange(a_lo + 1, n + 1)
+        b_lo = rng.randrange(len(fb) + 1)
+        b_hi = rng.randrange(b_lo, min(len(fb), b_lo + a_hi - a_lo) + 1)
+        pair = SegmentPair(a_lo, a_hi, b_lo, b_hi)
+        anchor_len = rng.choice((1, 2, 3, 5, 25))
+        expected, lo_past_hi, whole, hits = _split_by_definition(fa, fb, pair, anchor_len)
+        assert anchor_split(fa, fb, pair, SyncConfig(anchor_len=anchor_len)) == expected, pair
+        seen.update({("lo > hi", lo_past_hi), ("L = a_len", whole), min(hits, 2)})
+    assert seen >= {("lo > hi", True), ("L = a_len", True), 0, 1, 2}
+
+
 def test_segment_ell_bounds():
     assert _segment_ell(1000, 7) == 10
     assert _segment_ell(30, 7) == 5
@@ -260,3 +298,25 @@ def test_trials_harness_pool_matches_serial(mode):
 def test_trials_harness_rejects_empty_file():
     with pytest.raises(ValueError):
         run_sync_trials(0, 0, 1, SyncConfig("gc"))
+
+
+def test_short_hashes_still_decide_which_candidate_commits():
+    # with 1- and 2-bit hashes a wrong candidate often passes its check, so
+    # four of these runs end inexact; the digest pins every SyncStats, so a
+    # change that skipped or reordered a hash comparison would show here
+    rng = random.Random(17)
+    stats = []
+    for _ in range(200):
+        n = rng.randrange(40, 400)
+        fa = format(rng.getrandbits(n), f"0{n}b")
+        positions = tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(1, 9))))
+        fb = apply_edits(fa, EditPlan("deletions", positions))
+        for mode in ("vt", "gc"):
+            for hash_len in (1, 2):
+                config = SyncConfig(mode, anchor_len=rng.choice((1, 2, 3)), hash_len=hash_len)
+                stats.append(run_sync(fa, fb, config))
+    assert [i for i, s in enumerate(stats) if not s.success] == [288, 290, 445, 446]
+    assert (
+        hashlib.sha256(repr(stats).encode()).hexdigest()
+        == "f21e007b9d3e0973bf7abe60bf79420b6a3aebe6259caee5db03431c86a4848e"
+    )

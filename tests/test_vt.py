@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gccodes.vt import NoConsistentInsertion, VtSyndrome, vt_correct, vt_syndrome
+from gccodes.vt import NoConsistentInsertion, VtSyndrome, _weighted_sum, vt_correct, vt_syndrome
 
 
 def test_syndrome_examples():
@@ -77,3 +77,54 @@ def test_long_string_round_trip():
         x = format(rng.getrandbits(n), f"0{n}b")
         p = rng.randrange(n)
         assert vt_correct(x[:p] + x[p + 1 :], vt_syndrome(x)) == x
+
+
+def _sum_of_positions(x):
+    return sum(i for i, b in enumerate(x, 1) if b == "1")
+
+
+def test_weighted_sum_is_the_sum_of_positions():
+    # every string up to 12 bits, then random strings at n = 2^k - 1, 2^k
+    # and 2^k + 1, where the span of the cached bit planes changes
+    strings = ["", "0", "1"]
+    strings += [format(v, f"0{n}b") for n in range(1, 13) for v in range(1 << n)]
+    rng = random.Random(12)
+    for k in range(1, 18):
+        for n in (2**k - 1, 2**k, 2**k + 1):
+            strings.append(format(rng.getrandbits(n), f"0{n}b"))
+    for x in strings:
+        assert _weighted_sum(int(x or "0", 2), len(x)) == _sum_of_positions(x), x
+
+
+def _reinsertions(y, a):
+    """Every string y with one bit inserted whose syndrome is a."""
+    n = len(y) + 1
+    return {
+        y[:i] + b + y[i:]
+        for i in range(n)
+        for b in "01"
+        if _sum_of_positions(y[:i] + b + y[i:]) % (n + 1) == a
+    }
+
+
+def test_correct_at_the_edges_of_the_insertion_rule():
+    # s = (a - syndrome(y)) mod (n + 1) picks the rule: s = 0 puts a zero
+    # right of every one, s = w left of every one, s = w + 1 puts a one
+    # left of every zero and s = n right of every zero
+    rng = random.Random(13)
+    ys = ["", "0", "1", "0" * 9, "1" * 9, "01" * 5, "1" * 4 + "0" * 5]
+    ys += [format(rng.getrandbits(m), f"0{m}b") for m in rng.sample(range(2, 30), 12)]
+    for y in ys:
+        n, w = len(y) + 1, y.count("1")
+        for s in {0, w, w + 1, n}:
+            a = (_sum_of_positions(y) + s) % (n + 1)
+            assert {vt_correct(y, VtSyndrome(a, n))} == _reinsertions(y, a), (y, s)
+    assert vt_correct("000", VtSyndrome(2, 4)) == "0100"  # s = 2 > w: one after a zero
+    assert vt_correct("111", VtSyndrome(4, 4)) == "0111"  # s = w = 3: zero left of every one
+
+
+def test_round_trip_past_the_largest_plane_span():
+    n = 2**17 + 1
+    x = format(random.Random(14).getrandbits(n), f"0{n}b")
+    p = n // 3
+    assert vt_correct(x[:p] + x[p + 1 :], vt_syndrome(x)) == x
