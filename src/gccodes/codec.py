@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, count
 from operator import add, xor
-from struct import pack
+from struct import pack, unpack
 from typing import Iterator, Sequence
 
 from .gf import field
@@ -174,12 +175,51 @@ def gc_encode(message: str, params: GcParams) -> str:
     return message + tail
 
 
-def _block_parities(bits: str, ell: int, c: int) -> list[int]:
+def _block_parities(bits: str, ell: int, c: int) -> tuple[int, ...]:
     """The c MDS parity symbols of `bits` read as ell-bit blocks; the short
     last block is padded with zeros on the right for mapping only."""
-    chunks = [bits[i : i + ell] for i in range(0, len(bits), ell)]
-    symbols = [int(ch, 2) << (ell - len(ch)) for ch in chunks]
-    return SystematicCode(field(ell), len(symbols), c).encode(symbols)
+    kp = -(-len(bits) // ell)
+    symbols = _read_symbols(int(bits, 2), len(bits), 0, kp, ell, len(bits) - (kp - 1) * ell)
+    return SystematicCode(field(ell), kp, c).encode(symbols)
+
+
+def _tile(pattern: int, width: int, span: int) -> int:
+    """`pattern` repeated every `width` bits, by doubling, up to `span` bits."""
+    while width < span:
+        pattern |= pattern << width
+        width *= 2
+    return pattern
+
+
+@lru_cache(maxsize=None)
+def _spread_masks(ell: int, lanes: int) -> tuple[tuple[int, int], ...]:
+    """(mask, shift) steps that move field j of `lanes` (a power of two)
+    packed ell-bit fields to 16-bit lane j. A group of g fields already
+    starts at its first lane; the step moves its upper g/2 fields up by
+    (g/2)(16 - ell) bits, into bits the group leaves clear."""
+    steps = []
+    g = lanes
+    while g > 1:
+        h = g // 2
+        steps.append((_tile(((1 << h * ell) - 1) << h * ell, 16 * g, 16 * lanes), h * (16 - ell)))
+        g = h
+    return tuple(steps)
+
+
+def _read_symbols(X: int, n: int, off: int, kp: int, ell: int, last: int) -> tuple[int, ...]:
+    """Symbols of blocks 0..kp-1 of the n-bit string whose int(bits, 2) is
+    X, block i read as int(bits[off + i*ell:][:ell], 2) padded with zeros on
+    the right to ell bits; see `_prefix_tables` for the edge rules. The
+    window's fields are spread into 16-bit lanes by SWAR bit spreading
+    (Hacker's Delight, ch. 7) and unpacked in one call."""
+    sh = n - off - kp * ell  # bit of X at the window's low end
+    W = X >> sh if sh >= 0 else X << -sh
+    lead = -(min(off, 0) // ell)  # blocks that start before position 0
+    W &= ((1 << (kp - lead) * ell) - 1) & -(1 << ell - last)
+    for mask, step in _spread_masks(ell, 1 << (kp - 1).bit_length()):
+        hi = W & mask
+        W ^= hi ^ hi << step
+    return unpack(f">{kp}H", W.to_bytes(2 * kp, "big"))
 
 
 _RUNS = re.compile("0+|1+")
@@ -268,6 +308,10 @@ def _prefix_tables(bits: str, k: int, d: int, code: SystematicCode, deletions: b
     """T[s][r][i] = XOR of the parity-r terms of blocks 0..i-1 read at shift
     s = 0..d, the number of edits assumed before them: block i is read from
     bits[i*ell - s:] for deletions and bits[i*ell + s:] for insertions.
+    `_read_symbols` reads each shift from X = int(bits, 2), parsed once: bits
+    past the string read as 0, the last block keeps only its first
+    k - (k'-1)*ell bits, and every block that starts before position 0
+    reads as 0 (several when d > ell, which decode_with_parities allows).
     Unerased-block symbols depend only on (block, shift), so the terms of
     any unerased run of blocks at one shift are one table difference.
 
@@ -295,20 +339,17 @@ def _prefix_tables(bits: str, k: int, d: int, code: SystematicCode, deletions: b
     ell = gf.m
     exp, log = gf.exp, gf.log
     kp = code.k_prime
+    X = int(bits or "0", 2)
     tables = []
     for s in range(d + 1):
-        off = -s if deletions else s
         # infeasible (block, shift) pairs read junk here; it only ever
         # appears inside both terms of a table difference and cancels
-        chunks = [bits[st : st + ell] if st >= 0 else "" for st in range(off, off + kp * ell, ell)]
-        chunks[-1] = chunks[-1][: k - (kp - 1) * ell]
-        logs = [log[int(ch or "0", 2) << (ell - len(ch))] for ch in chunks]
-        tables.append(
-            [
-                [0, *accumulate(map(exp.__getitem__, map(add, logs, cols)), xor)]
-                for cols in code.logcol
-            ]
-        )
+        symbols = _read_symbols(X, len(bits), -s if deletions else s, kp, ell, k - (kp - 1) * ell)
+        logs = list(map(log.__getitem__, symbols))
+        T = [[0, *accumulate(symbols, xor)]]  # row r = 1: every column log is 0
+        for cols in code.logcol[1:]:
+            T.append([0, *accumulate(map(exp.__getitem__, map(add, logs, cols)), xor)])
+        tables.append(T)
     return tables
 
 
@@ -433,14 +474,17 @@ def _scan(
         holds C_1(i); 16-bit lane p of Gp is G(j) and of Hp is a_lo H(j) for
         block j = lo + 1 + p. kap[r] is b_r less the terms of i and j."""
         ones = ((1 << 16 * (jtop - lo - 1)) - 1) // 0xFFFF
+        hi = ones << 15
         for i, lc0, c1 in zip(range(lo, itop), LC0, C1):
             # lane p of cp is a_j C_0(i) for j = i + 1 + p; pair (i, j)
-            # passes iff lane p of x is zero, which one carry test finds for
-            # every lane at once
+            # passes iff lane p of x is zero. One borrow test flags every
+            # zero lane at once, and also any lane of value 1 directly above
+            # a flagged lane (the borrow out of the lane below wraps it);
+            # such a pair reaches accept, whose solve_erasures re-tests
+            # window 0 (c > z) and rejects it
             cp = int.from_bytes(e16[2 * (lc0 + i + 1) : 2 * (lc0 + jtop)], "little")
             x = Gp ^ Hp ^ c1 * ones ^ cp
-            low = ones * 0x7FFF
-            hits = ~((x & low) + low | x) & ones << 15
+            hits = (x - ones) & ~x & hi
             while hits:  # lowest lane first
                 j = i + ((hits & -hits).bit_length() >> 4)
                 hits &= hits - 1
@@ -453,6 +497,7 @@ def _scan(
             Gp >>= 16
             Hp >>= 16
             ones >>= 16
+            hi >>= 16
             t = Hp >> ell - 1 & ones
             Hp = (Hp ^ t << ell - 1) << 1 ^ t * fb
 

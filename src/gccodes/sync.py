@@ -167,48 +167,46 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
 
     while stack:
         rnd, seg = stack.pop()
+        d = seg.d
+        # GC repair needs a field that holds the blocks and every parity; a
+        # segment too large for it goes to an anchor like any d > 1 in VT mode
+        gc = config.mode == "gc" and 2 <= d <= config.delta_cap
+        ell = _segment_ell(seg.a_len, 2 * d + 3) if gc else None
+
+        if d > 1 and ell is None:
+            ledger.append((rnd, "a2b", "anchor", min(config.anchor_len, seg.a_len)))
+            split = anchor_split(file_a, file_b, seg, config)
+            ledger.append((rnd, "b2a", "anchor_reply", _bits_for(d + 2)))
+            if split is None:
+                settle(rnd, seg, file_a[seg.a_lo : seg.a_hi], None)
+            else:
+                left, right = split
+                pieces.append((left.a_hi, file_a[left.a_hi : right.a_lo]))
+                stack.extend((rnd + 1, child) for child in (right, left) if child.a_len > 0)
+            continue
+
         a_seg = file_a[seg.a_lo : seg.a_hi]
         b_seg = file_b[seg.b_lo : seg.b_hi]
-        d = seg.d
-
         if d == 0:
             ledger.append((rnd, "a2b", "hash", hash_len))
             settle(rnd, seg, a_seg, b_seg)
-            continue
-
-        if d == 1:
+        elif d == 1:
             ledger.append((rnd, "a2b", "vt_syndrome", _bits_for(seg.a_len + 1) + hash_len))
             settle(rnd, seg, a_seg, vt_correct(b_seg, vt_syndrome(a_seg)))
-            continue
-
-        if config.mode == "gc" and d <= config.delta_cap:
-            ell = _segment_ell(seg.a_len, 2 * d + 3)
-            if ell is not None:
-                # d + 1 parities first, then one more per round while decoding
-                # fails, up to 2d + 3; A encodes only the c parities it sends
-                c = d + 1
-                ledger.append((rnd, "a2b", "gc_parities", c * ell + hash_len))
-                while True:
-                    parities = _block_parities(a_seg, ell, c)
-                    outcome = decode_with_parities(b_seg, seg.a_len, ell, parities)
-                    if not isinstance(outcome, Failure) or c == 2 * d + 3:
-                        break
-                    rnd += 1
-                    c += 1
-                    ledger.append((rnd, "a2b", "gc_parity", ell))
-                settle(rnd, seg, a_seg, outcome.message if isinstance(outcome, Success) else None)
-                continue
-            # segment too large for the backing field: fall through to anchor
-
-        ledger.append((rnd, "a2b", "anchor", min(config.anchor_len, seg.a_len)))
-        split = anchor_split(file_a, file_b, seg, config)
-        ledger.append((rnd, "b2a", "anchor_reply", _bits_for(d + 2)))
-        if split is None:
-            settle(rnd, seg, a_seg, None)
         else:
-            left, right = split
-            pieces.append((left.a_hi, file_a[left.a_hi : right.a_lo]))
-            stack.extend((rnd + 1, child) for child in (right, left) if child.a_len > 0)
+            # d + 1 parities first, then one more per round while decoding
+            # fails, up to 2d + 3; A encodes only the c parities it sends
+            c = d + 1
+            ledger.append((rnd, "a2b", "gc_parities", c * ell + hash_len))
+            while True:
+                parities = _block_parities(a_seg, ell, c)
+                outcome = decode_with_parities(b_seg, seg.a_len, ell, parities)
+                if not isinstance(outcome, Failure) or c == 2 * d + 3:
+                    break
+                rnd += 1
+                c += 1
+                ledger.append((rnd, "a2b", "gc_parity", ell))
+            settle(rnd, seg, a_seg, outcome.message if isinstance(outcome, Success) else None)
 
     ledger.sort(key=lambda entry: entry[0])
     pieces.sort(key=lambda piece: piece[0])

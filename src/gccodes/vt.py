@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codec import _check_bits
+from .codec import _check_bits, _tile
 
 
 class NoConsistentInsertion(ValueError):
@@ -36,17 +36,9 @@ class VtSyndrome:
 def _planes(span_bits: int) -> tuple[tuple[int, int], ...]:
     """(h, plane_h) for h = 1, 2, 4, ... < 2**span_bits, each plane
     covering the positions p < 2**span_bits."""
-    span = 1 << span_bits
-    planes = []
-    h = 1
-    while h < span:
-        plane, width = ((1 << h) - 1) << h, 2 * h  # the p < 2h that have bit h
-        while width < span:
-            plane |= plane << width
-            width *= 2
-        planes.append((h, plane))
-        h *= 2
-    return tuple(planes)
+    hs = [1 << b for b in range(span_bits)]
+    # plane h: the p < 2h that have bit h, repeated every 2h
+    return tuple((h, _tile(((1 << h) - 1) << h, 2 * h, 1 << span_bits)) for h in hs)
 
 
 def _weighted_sum(X: int, n: int) -> int:

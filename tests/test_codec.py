@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from itertools import accumulate
+from operator import xor
 
 import pytest
 
@@ -22,7 +24,7 @@ from gccodes import (
     sample_plan,
     subsequence_check,
 )
-from gccodes.codec import _prefix_tables, _rep_decode_ins
+from gccodes.codec import _block_parities, _prefix_tables, _read_symbols, _rep_decode_ins
 from gccodes.gf import field
 from gccodes.mds import SystematicCode
 
@@ -582,6 +584,65 @@ class TestEngineAgainstReference:
                                 assert s < d_s and (i == kp or ell_last + s < d_s)
                                 differ.add(i)
         assert differ == {kp - 1, kp}
+
+
+def _sliced_symbols(bits, off, kp, ell, last):
+    """String-slicing block read, the oracle for `_read_symbols`: block i is
+    bits[off + i*ell:][:ell] padded on the right, a block starting before
+    position 0 is empty, and the last block keeps `last` bits."""
+    chunks = [bits[st : st + ell] if st >= 0 else "" for st in range(off, off + kp * ell, ell)]
+    chunks[-1] = chunks[-1][:last]
+    return tuple(int(ch or "0", 2) << (ell - len(ch)) for ch in chunks)
+
+
+class TestSymbolReader:
+    def test_reads_equal_slicing(self):
+        # every ell, offsets -(ell + 2) .. 4 (a shift never exceeds the k
+        # message bits), strings empty, shorter than the window, exactly it
+        # and longer, full and short last blocks, k' = 1 included
+        rng = random.Random(91)
+        for ell in range(2, 17):
+            for kp in (1, 2, 3, 5, 8, 33):
+                width = kp * ell
+                for last in sorted({1, rng.randint(1, ell), ell}):
+                    k = width - ell + last
+                    for n in sorted({0, rng.randint(1, width - 1), width, width + 9}):
+                        bits = format(rng.getrandbits(n), f"0{n}b") if n else ""
+                        X = int(bits or "0", 2)
+                        for off in range(max(-(ell + 2), -k), 5):
+                            assert _read_symbols(X, n, off, kp, ell, last) == _sliced_symbols(
+                                bits, off, kp, ell, last
+                            ), (ell, kp, last, n, off)
+
+    def test_tables_and_parities_equal_slicing(self):
+        rng = random.Random(92)
+        for t in range(300):
+            ell = rng.randint(2, 16)
+            kp = rng.randint(1, min(40, (1 << ell) - 2))
+            c = rng.randint(1, min(5, (1 << ell) - kp))
+            k = kp * ell - rng.randint(0, ell - 1)
+            d = rng.randint(0, min(4, k))  # d > ell when ell < 4
+            code = SystematicCode(field(ell), kp, c)
+            exp, log = code.gf.exp, code.gf.log
+            n = rng.randint(0, k + 8) if t % 3 else k + rng.randint(-d, d)
+            bits = format(rng.getrandbits(n), f"0{n}b") if n > 0 else ""
+            for deletions in (True, False):
+                want = []
+                for s in range(d + 1):
+                    sym = _sliced_symbols(bits, -s if deletions else s, kp, ell, k - (kp - 1) * ell)
+                    want.append(
+                        [
+                            [0, *accumulate((exp[log[x] + col] for x, col in zip(sym, cols)), xor)]
+                            for cols in code.logcol
+                        ]
+                    )
+                assert _prefix_tables(bits, k, d, code, deletions) == want, (t, deletions)
+            if n > 0:
+                kpn = -(-n // ell)
+                if kpn + c <= 1 << ell:
+                    sym = _sliced_symbols(bits, 0, kpn, ell, n - (kpn - 1) * ell)
+                    want = SystematicCode(field(ell), kpn, c).encode(sym)
+                    assert _block_parities(bits, ell, c) == want, t
 
 
 class TestDecodeWithParities:
