@@ -492,14 +492,11 @@ def _scan(
                     [kap[r] ^ Ts[r][i] ^ Tw[r][i + 1] ^ Lw[r][j] for r in range(cn)],
                     entries + ((i, w), (j, u)),
                 )
-            # drop lane j = i + 1 and step a_i H(j) to a_(i+1) H(j), with
-            # times_alpha inlined
+            # drop lane j = i + 1 and step a_i H(j) to a_(i+1) H(j)
             Gp >>= 16
-            Hp >>= 16
             ones >>= 16
             hi >>= 16
-            t = Hp >> ell - 1 & ones
-            Hp = (Hp ^ t << ell - 1) << 1 ^ t * fb
+            Hp = times_alpha(Hp >> 16, ones)
 
     if d == 0:
         accept([pr ^ t[kp] for pr, t in zip(p, T[0])], ())

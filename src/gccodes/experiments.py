@@ -33,13 +33,13 @@ class PfEstimate:
         return self.failures / self.trials
 
 
-def _trial(params: GcParams, kind: str, scope: str, edits: int, trial_seed: int) -> str:
-    """One encode, channel and decode: the outcome's class name, or "wrong"
-    for a Success with the wrong message."""
+def _trial(params: GcParams, kind: str, scope: str, trial_seed: int) -> str:
+    """One encode, channel of delta edits and decode: the outcome's class
+    name, or "wrong" for a Success with the wrong message."""
     rng = random.Random(trial_seed)
     message = format(rng.getrandbits(params.k), f"0{params.k}b")
     codeword = gc_encode(message, params)
-    plan = _sample_plan(rng, params.n, edits, kind, scope, params.k)
+    plan = _sample_plan(rng, params.n, params.delta, kind, scope, params.k)
     outcome = gc_decode(apply_edits(codeword, plan), params, kind)
     if isinstance(outcome, Success) and outcome.message != message:
         return "wrong"
@@ -53,17 +53,12 @@ def estimate_pf(
     trials: int = 10000,
     seed: int = 0,
     workers: int = 1,
-    edits: int | None = None,
 ) -> PfEstimate:
     """Encode a fresh uniform message per trial, apply d = delta random
-    edits (overridable via `edits`), decode, and count Failure plus
-    NoCandidate outcomes as failures. Results are identical for any
-    worker count."""
-    d = params.delta if edits is None else edits
-    if not 0 <= d <= params.delta:
-        raise ValueError("edit count must be in [0, delta]")
+    edits, decode, and count Failure plus NoCandidate outcomes as
+    failures. Results are identical for any worker count."""
     start = time.perf_counter()
-    counts = Counter(run_trials(partial(_trial, params, kind, scope, d), trials, seed, workers))
+    counts = Counter(run_trials(partial(_trial, params, kind, scope), trials, seed, workers))
     wall_ms = (time.perf_counter() - start) * 1000.0
     failures = counts["Failure"] + counts["NoCandidate"]
     return PfEstimate(
@@ -118,6 +113,7 @@ def estimate_row(est: PfEstimate) -> dict:
         "rate": p.k / p.n,
         "seed": est.seed,
         "wall_time_ms": round(est.wall_time_ms, 3),
+        "kind": est.kind,
     }
 
 

@@ -180,6 +180,20 @@ def test_simulate_csv_schema(tmp_path, capsys):
     assert float(row["pf_hat"]) <= 1.0
 
 
+def test_simulate_row_names_its_channel(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    code, _, _ = run(
+        [
+            "simulate",
+            "--k", "64", "--ell", "6", "--c", "3", "--delta", "2", "--mode", "insertions",
+            "--trials", "10", "--seed", "3", "--format", "json", "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert [row["kind"] for row in json.loads(out.read_text())] == ["insertions"]
+
+
 def test_simulate_deterministic_modulo_walltime(tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json"):

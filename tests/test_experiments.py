@@ -1,8 +1,18 @@
 import math
+import random
 
 import pytest
 
-from gccodes import GcParams, estimate_pf, gamma_census, sweep, theoretical_bound
+from gccodes import (
+    GcParams,
+    Success,
+    estimate_pf,
+    gamma_census,
+    gc_decode,
+    gc_encode,
+    sweep,
+    theoretical_bound,
+)
 from gccodes.experiments import estimate_row
 
 
@@ -42,9 +52,14 @@ def test_bound_past_float_range():
 
 
 def test_zero_edit_channel_never_fails():
-    est = estimate_pf(GcParams(64, 6, 3, 2), trials=50, seed=3, edits=0)
-    assert est.failures == 0 and est.pf_hat == 0.0
-    assert est.wrong_successes == 0 and est.no_candidates == 0
+    # an unedited codeword decodes to its message with no edit in any block
+    p = GcParams(64, 6, 3, 2)
+    rng = random.Random(3)
+    for _ in range(50):
+        msg = format(rng.getrandbits(p.k), f"0{p.k}b")
+        cw = gc_encode(msg, p)
+        for mode in ("deletions", "insertions"):
+            assert gc_decode(cw, p, mode) == Success(msg, (0,) * p.k_prime)
 
 
 def test_estimate_is_deterministic():
@@ -77,7 +92,7 @@ def test_row_schema():
     row = estimate_row(est)
     assert tuple(row) == (
         "k", "ell", "c", "delta", "scope", "trials", "failures", "pf_hat",
-        "bound", "redundancy", "rate", "seed", "wall_time_ms",
+        "bound", "redundancy", "rate", "seed", "wall_time_ms", "kind",
     )  # the column order README.md documents
     assert row["redundancy"] == 3 * 3 * 6
     assert row["rate"] == pytest.approx(64 / (64 + 54))
