@@ -11,7 +11,6 @@ from .codec import (
     Success,
     decode_case,
     decode_with_parities,
-    enumerate_cases,
     gc_decode,
     gc_encode,
     recover_parities_del,
@@ -47,7 +46,6 @@ __all__ = [
     "apply_edits",
     "decode_case",
     "decode_with_parities",
-    "enumerate_cases",
     "estimate_pf",
     "field",
     "gamma_census",

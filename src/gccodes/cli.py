@@ -15,7 +15,7 @@ import json
 import sys
 
 from .channel import KINDS, SCOPES, apply_edits, sample_plan
-from .codec import Failure, GcParams, Success, gc_decode, gc_encode
+from .codec import Failure, GcParams, Success, _check_bits, gc_decode, gc_encode
 from .experiments import estimate_pf, estimate_row, sweep
 from .sync import MODES as SYNC_MODES
 from .sync import SyncConfig, run_sync_trials, sync_row
@@ -35,8 +35,7 @@ def _read_bits(path: str | None) -> str:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     bits = text.replace("\n", "")
-    if bits.strip("01"):
-        raise ValueError("bit file may contain only '0', '1' and newlines")
+    _check_bits(bits, "bit file")
     if not bits:
         raise ValueError("bit file is empty")
     return bits

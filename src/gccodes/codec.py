@@ -35,12 +35,11 @@ from functools import lru_cache
 from itertools import accumulate, count
 from operator import add, xor
 from struct import pack, unpack
-from typing import Iterator, Sequence
+from typing import Sequence
 
+from .channel import KINDS
 from .gf import field
 from .mds import SystematicCode, locator, solve_erasures
-
-MODES = ("deletions", "insertions")
 
 
 class MalformedTail(ValueError):
@@ -136,31 +135,6 @@ def subsequence_check(short: str, long: str) -> bool:
             if i + step <= n and short[i : i + step] == long[j + 1 : j + 1 + step]:
                 i, j = i + step, j + step
     return True
-
-
-def enumerate_cases(
-    k_prime: int, d: int, block_caps: Sequence[int] | None = None
-) -> Iterator[tuple[int, ...]]:
-    """All weak compositions of d edits over k_prime blocks, in lexicographic
-    order, skipping compositions that exceed a per-block cap."""
-    if k_prime < 1:
-        raise ValueError("k_prime must be positive")
-    if d < 0:
-        raise ValueError("edit count must be non-negative")
-    counts = [0] * k_prime
-    counts[-1] = d
-    q = k_prime - 1  # index of the last nonzero entry (d > 0)
-    while True:
-        if block_caps is None or all(v <= cap for v, cap in zip(counts, block_caps)):
-            yield tuple(counts)
-        if q == 0 or d == 0:
-            return
-        v = counts[q]
-        counts[q] = 0
-        counts[q - 1] += 1
-        r = v - 1
-        counts[-1] = r
-        q = k_prime - 1 if r else q - 1
 
 
 def gc_encode(message: str, params: GcParams) -> str:
@@ -663,8 +637,8 @@ def gc_decode(received: str, params: GcParams, mode: str = "deletions") -> Decod
     over every feasible systematic/parity split and every assignment of
     the d systematic edits; Success needs exactly one distinct survivor.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    if mode not in KINDS:
+        raise ValueError(f"mode must be one of {KINDS}")
     _check_bits(received)
     try:
         parity_bits, splits = _recover_parities(received, params, mode)
@@ -681,8 +655,8 @@ def decode_with_parities(
     """Decode a bare k-bit region from out-of-band parity symbols (no
     repetition tail; the edit count is k - len(received) for deletions).
     Used when parities travel over a separate reliable channel."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    if mode not in KINDS:
+        raise ValueError(f"mode must be one of {KINDS}")
     _check_bits(received)
     d = k - len(received) if mode == "deletions" else len(received) - k
     if d < 0:
@@ -705,8 +679,8 @@ def decode_case(
     blocks with the leading parities, and accept only if the unused
     parities and the per-block checks pass. Returns the candidate message,
     or None when the guess is impossible; the scan is its optimized form."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    if mode not in KINDS:
+        raise ValueError(f"mode must be one of {KINDS}")
     deletions = mode == "deletions"
     code = SystematicCode(field(ell), -(-k // ell), len(parities))  # checks k' + c <= q
     kp = code.k_prime

@@ -1,5 +1,6 @@
 import csv
 import errno
+import io
 import json
 import subprocess
 import sys
@@ -57,13 +58,22 @@ def test_decode_no_candidate(tmp_path, capsys):
     assert out == ""
 
 
-def test_malformed_input_exits_one(tmp_path, capsys):
+def test_malformed_input_exits_one(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0101x\n")
     code, _, err = run(["encode", *CODE_FLAGS, "--in", str(bad)], capsys)
     assert code == 1 and "error" in err
     code, _, err = run(["encode", "--k", "16", "--ell", "4", "--c", "1", "--delta", "1", "--in", str(bad)], capsys)
     assert code == 1
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n\n\n")
+    code, _, err = run(["encode", *CODE_FLAGS, "--in", str(blank)], capsys)
+    assert code == 1 and err.startswith("error: "), err
+    # stdin keeps a CR (open() of --in would turn CRLF into a newline)
+    for text in ("01é1\n", MSG_A + "\r\n"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, _, err = run(["encode", *CODE_FLAGS], capsys)
+        assert code == 1 and err.startswith("error: "), (text, err)
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import defaultdict
 from itertools import accumulate
 from operator import xor
 
@@ -16,7 +17,6 @@ from gccodes import (
     apply_edits,
     decode_case,
     decode_with_parities,
-    enumerate_cases,
     gc_decode,
     gc_encode,
     recover_parities_del,
@@ -43,6 +43,7 @@ from vectors import (
     check_against_reference,
     check_gc_decode_against_splits,
     delete,
+    enumerate_cases,
 )
 
 
@@ -315,6 +316,8 @@ class TestDecodeCase:
             decode_case(MSG_A, (1, 0, 0, 0), self.parities, 16, 4)
         with pytest.raises(ValueError):
             decode_case("", (), self.parities, 0, 4)  # no blocks
+        # a guess that deletes more bits than its block has is impossible, not invalid
+        assert decode_case(MSG_A[:11], (5, 0, 0, 0), self.parities, 16, 4) is None
 
 
 class TestGcDecode:
@@ -458,6 +461,29 @@ def test_tiny_code_every_edit_pattern_keeps_the_message(params):
                     assert out.message == msg
                 else:
                     assert isinstance(out, Failure) and msg in out.candidates
+
+
+def _candidates(out) -> set:
+    if isinstance(out, Success):
+        return {out.message}
+    return set(out.candidates) if isinstance(out, Failure) else set()
+
+
+@pytest.mark.parametrize("mode", ["deletions", "insertions"])
+def test_tiny_code_candidates_are_the_preimages(mode):
+    # exhaustive over messages and edit patterns: every word within delta
+    # edits of a codeword must decode to exactly the messages whose
+    # codewords reach it (by |n - |word|| edits), so the decoder is sound
+    # and complete; (10, 4, 2, 1) is small and has words with two preimages
+    params = GcParams(10, 4, 2, 1)
+    preimages = defaultdict(set)
+    for v in range(1 << params.k):
+        msg = format(v, f"0{params.k}b")
+        for word in _within_edits(gc_encode(msg, params), params.delta, mode):
+            preimages[word].add(msg)
+    assert any(len(msgs) > 1 for msgs in preimages.values())
+    for word, msgs in preimages.items():
+        assert _candidates(gc_decode(word, params, mode)) == msgs, word
 
 
 def _check_against_reference(rng, k, ell, c, d, mode, seed):

@@ -23,7 +23,8 @@ from gccodes import (
     vt_syndrome,
 )
 from gccodes.cli import main
-from gccodes.codec import MODES, _rep_decode_del, _rep_decode_ins
+from gccodes.channel import KINDS
+from gccodes.codec import _rep_decode_del, _rep_decode_ins
 
 from vectors import (
     MSG_B,
@@ -45,7 +46,7 @@ def edited_regions(draw):
     c = draw(st.integers(d + 1, min(d + 3, q - 1)))
     kp = draw(st.integers(1, min(q - c, 8)))
     k = draw(st.integers((kp - 1) * ell + 1, kp * ell))
-    mode = draw(st.sampled_from(MODES))
+    mode = draw(st.sampled_from(KINDS))
     assume(d <= k + (mode == "insertions"))  # distinct edit positions
     msg = format(draw(st.integers(0, (1 << k) - 1)), f"0{k}b")
     plan = sample_plan(k, d, mode, seed=draw(st.integers(0, 2**32)))
@@ -71,7 +72,7 @@ def received_words(draw, max_ell=16):
     kp = draw(st.integers(1, min(q - c, 12 if delta <= 2 else 6)))
     ell_last = draw(st.one_of(st.integers(1, max(1, delta - 1)), st.integers(1, ell)))
     params = GcParams((kp - 1) * ell + ell_last, ell, c, delta)
-    mode = draw(st.sampled_from(MODES))
+    mode = draw(st.sampled_from(KINDS))
     msg = format(draw(st.integers(0, (1 << params.k) - 1)), f"0{params.k}b")
     word = gc_encode(msg, params)
     scope = draw(st.sampled_from(["systematic", "whole"]))
@@ -231,7 +232,7 @@ def cli_calls(draw):
     delta = draw(st.integers(1, 2))
     c = draw(st.integers(delta + 1, min(delta + 2, (1 << ell) - 1)))
     params = GcParams(draw(st.integers(1, min(12, ell * ((1 << ell) - c)))), ell, c, delta)
-    mode = draw(st.sampled_from(MODES))
+    mode = draw(st.sampled_from(KINDS))
     text = draw(st.text("01", min_size=params.k, max_size=params.k))
     code = {"--k": params.k, "--ell": ell, "--c": c, "--delta": delta}
     fmt = draw(st.sampled_from(["csv", "json"]))

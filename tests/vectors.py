@@ -1,5 +1,7 @@
-"""Shared worked-example vectors, the reference-decoder check and the
-exact-sync check used across the test modules."""
+"""Shared worked-example vectors, the guess enumerator and reference-decoder
+check, and the exact-sync check used across the test modules."""
+
+from typing import Iterator, Sequence
 
 from gccodes import (
     EditPlan,
@@ -10,7 +12,6 @@ from gccodes import (
     apply_edits,
     decode_case,
     decode_with_parities,
-    enumerate_cases,
     gc_decode,
     recover_parities_del,
     recover_parities_ins,
@@ -47,6 +48,31 @@ def delete(bits: str, *positions: int) -> str:
 
 RECEIVED_A = delete(CODEWORD_A, 14)  # 14th bit deleted, decodes uniquely
 RECEIVED_B = delete(CODEWORD_B, 14)  # 14th bit deleted, decoding failure
+
+
+def enumerate_cases(
+    k_prime: int, d: int, block_caps: Sequence[int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """All weak compositions of d edits over k_prime blocks, in lexicographic
+    order, skipping compositions that exceed a per-block cap."""
+    if k_prime < 1:
+        raise ValueError("k_prime must be positive")
+    if d < 0:
+        raise ValueError("edit count must be non-negative")
+    counts = [0] * k_prime
+    counts[-1] = d
+    q = k_prime - 1  # index of the last nonzero entry (d > 0)
+    while True:
+        if block_caps is None or all(v <= cap for v, cap in zip(counts, block_caps)):
+            yield tuple(counts)
+        if q == 0 or d == 0:
+            return
+        v = counts[q]
+        counts[q] = 0
+        counts[q - 1] += 1
+        r = v - 1
+        counts[-1] = r
+        q = k_prime - 1 if r else q - 1
 
 
 def reference_candidates(splits, parities, k: int, ell: int, mode: str) -> dict:
