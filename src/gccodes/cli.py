@@ -32,7 +32,8 @@ def _read_bits(path: str | None) -> str:
     if path is None or path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="ascii") as fh:
+        # newline="" keeps a CR, as POSIX stdin does, so both paths reject it
+        with open(path, "r", encoding="ascii", newline="") as fh:
             text = fh.read()
     bits = text.replace("\n", "")
     _check_bits(bits, "bit file")

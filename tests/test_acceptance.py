@@ -5,7 +5,6 @@ few minutes of total runtime."""
 
 import itertools
 import math
-import os
 import random
 
 from gccodes import (
@@ -35,9 +34,6 @@ from vectors import (
     RECEIVED_B,
     enumerate_cases,
 )
-
-# counts do not depend on the worker count, so the slow criteria use every core
-WORKERS = os.cpu_count()
 
 
 def _symbols(bits, ell=4):
@@ -74,9 +70,7 @@ def test_criterion_03_never_wrong():
     lines = []
     for k, delta, scope in itertools.product((64, 256), (1, 2), ("whole", "systematic")):
         p = GcParams(k=k, ell=int(math.log2(k)), c=delta + 1, delta=delta)
-        est = estimate_pf(
-            p, "deletions", scope, trials=1250, seed=1000 + k + delta, workers=WORKERS
-        )
+        est = estimate_pf(p, "deletions", scope, trials=1250, seed=1000 + k + delta)
         total += est.trials
         wrong += est.wrong_successes
         nocand += est.no_candidates
@@ -89,22 +83,14 @@ def test_criterion_03_never_wrong():
 
 
 def test_criterion_04_table_reproduction():
-    main = estimate_pf(
-        GcParams(256, 8, 3, 2), "deletions", "whole", trials=10000, seed=7, workers=WORKERS
-    )
+    main = estimate_pf(GcParams(256, 8, 3, 2), "deletions", "whole", trials=10000, seed=7)
     assert main.wrong_successes == 0 and main.no_candidates == 0
     assert 4e-4 <= main.pf_hat <= 2.6e-3, main.pf_hat
-    spot512 = estimate_pf(
-        GcParams(512, 9, 3, 2), "deletions", "whole", trials=10000, seed=8, workers=WORKERS
-    )
+    spot512 = estimate_pf(GcParams(512, 9, 3, 2), "deletions", "whole", trials=10000, seed=8)
     assert spot512.pf_hat <= 1.5e-3, spot512.pf_hat
-    spot3 = estimate_pf(
-        GcParams(256, 8, 4, 3), "deletions", "whole", trials=2000, seed=9, workers=WORKERS
-    )
+    spot3 = estimate_pf(GcParams(256, 8, 4, 3), "deletions", "whole", trials=2000, seed=9)
     assert spot3.pf_hat <= 2.5e-3, spot3.pf_hat
-    spot4 = estimate_pf(
-        GcParams(256, 8, 5, 4), "deletions", "whole", trials=100, seed=10, workers=WORKERS
-    )
+    spot4 = estimate_pf(GcParams(256, 8, 5, 4), "deletions", "whole", trials=100, seed=10)
     assert spot4.failures == 0
     print(
         "criterion 04 PASS: pf(256,d2)="
@@ -130,7 +116,7 @@ def test_criterion_06_bound_consistency():
     bound = theoretical_bound(p)
     assert 1e-5 <= bound < 1e-4
     assert abs(bound - 8.0e-5) < 0.5e-5
-    est = estimate_pf(p, "deletions", "whole", trials=10000, seed=11, workers=WORKERS)
+    est = estimate_pf(p, "deletions", "whole", trials=10000, seed=11)
     assert est.failures <= 1, est.failures
     assert est.wrong_successes == 0
     for k in (16, 256):
@@ -235,9 +221,9 @@ def test_criterion_11_insertions_mirror_deletions():
 
 def test_criterion_12_tradeoff_trends():
     trials = 10000
-    base = estimate_pf(GcParams(256, 8, 3, 2), "deletions", "whole", trials, 40, WORKERS)
-    wide = estimate_pf(GcParams(256, 16, 3, 2), "deletions", "whole", trials, 40, WORKERS)
-    more = estimate_pf(GcParams(256, 8, 4, 2), "deletions", "whole", trials, 40, WORKERS)
+    base = estimate_pf(GcParams(256, 8, 3, 2), "deletions", "whole", trials, seed=40)
+    wide = estimate_pf(GcParams(256, 16, 3, 2), "deletions", "whole", trials, seed=40)
+    more = estimate_pf(GcParams(256, 8, 4, 2), "deletions", "whole", trials, seed=40)
     p0 = max(base.pf_hat, 1 / trials)
     sigma = math.sqrt(p0 * (1 - p0) / trials)
     assert wide.pf_hat <= base.pf_hat + 2 * sigma
@@ -252,7 +238,7 @@ def test_criterion_13_sync_simulator():
     rows = {}
     for d in (25, 50):
         for mode in ("vt", "gc"):
-            stats = run_sync_trials(100_000, d, 100, SyncConfig(mode), 50 + d, WORKERS)
+            stats = run_sync_trials(100_000, d, trials=100, config=SyncConfig(mode), seed=50 + d)
             assert all(s.success for s in stats)
             rows[(mode, d)] = sync_row(mode, 100_000, d, stats, 50 + d)
     lines = []

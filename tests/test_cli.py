@@ -69,11 +69,22 @@ def test_malformed_input_exits_one(tmp_path, monkeypatch, capsys):
     blank.write_text("\n\n\n")
     code, _, err = run(["encode", *CODE_FLAGS, "--in", str(blank)], capsys)
     assert code == 1 and err.startswith("error: "), err
-    # stdin keeps a CR (open() of --in would turn CRLF into a newline)
-    for text in ("01é1\n", MSG_A + "\r\n"):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        code, _, err = run(["encode", *CODE_FLAGS], capsys)
-        assert code == 1 and err.startswith("error: "), (text, err)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("01é1\n"))
+    code, _, err = run(["encode", *CODE_FLAGS], capsys)
+    assert code == 1 and err.startswith("error: "), err
+    # a CR is rejected alike from --in and from the real stdin
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes((MSG_A + "\r\n").encode())
+    code, _, err = run(["encode", *CODE_FLAGS, "--in", str(crlf)], capsys)
+    assert code == 1 and err.startswith("error: "), err
+    with open(crlf, "rb") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gccodes", "encode", *CODE_FLAGS],
+            stdin=fh,
+            capture_output=True,
+            text=True,
+        )
+    assert proc.returncode == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_unknown_flag_exits_one(capsys):
