@@ -35,24 +35,15 @@ class EditPlan:
 def apply_edits(x: str, plan: EditPlan) -> str:
     """Delete the listed positions, or insert the given bits before them."""
     n = len(x)
-    if plan.kind == "deletions":
-        if plan.positions and not (1 <= plan.positions[0] and plan.positions[-1] <= n):
-            raise ValueError(f"deletion positions out of bounds for length {n}")
-        out = []
-        prev = 0
-        for p in plan.positions:
-            out.append(x[prev : p - 1])
-            prev = p
-        out.append(x[prev:])
-        return "".join(out)
-    if plan.positions and not (1 <= plan.positions[0] and plan.positions[-1] <= n + 1):
-        raise ValueError(f"insertion positions out of bounds for length {n}")
+    ins = plan.kind == "insertions"  # True == 1: an insertion may also follow the last bit
+    if plan.positions and not (1 <= plan.positions[0] and plan.positions[-1] <= n + ins):
+        raise ValueError(f"{plan.kind[:-1]} positions out of bounds for length {n}")
+    bits = plan.bits if ins else ("",) * len(plan.positions)
     out = []
     prev = 0
-    for p, b in zip(plan.positions, plan.bits):
-        out.append(x[prev : p - 1])
-        out.append(b)
-        prev = p - 1
+    for p, b in zip(plan.positions, bits):
+        out += x[prev : p - 1], b
+        prev = p - ins
     out.append(x[prev:])
     return "".join(out)
 

@@ -15,7 +15,7 @@ wrongly. The window test and the solve are both `mds.solve_erasures`.
 `decode_case` is the independent single-guess reference: it takes one
 guess, erasure-decodes it through `SystematicCode.decode_erasures` (the
 same solver, given only the leading parities) and checks the unused
-parities afterwards by evaluating them directly.
+parities afterwards with `SystematicCode.encode`.
 
 The tail rules: after deletions every run is rounded up to whole groups
 of delta+1, exact since no run loses delta+1 bits; after insertions one
@@ -712,9 +712,8 @@ def decode_case(
     e = sum(1 for s in symbols if s is None)
     decoded = code.decode_erasures(symbols, list(parities[:e]))
 
-    for r in range(e + 1, len(parities) + 1):
-        if code.parity(decoded, r) != parities[r - 1]:
-            return None
+    if code.encode(decoded)[e:] != tuple(parities[e:]):
+        return None
 
     parts = []
     for i, (chunk, v) in enumerate(zip(chunks, assignment)):

@@ -12,6 +12,9 @@ Q_t = P/(x + a_t) vanishes at every node but a_t, so
 X_t = sum_r [x^r]Q_t * b_r / Q_t(a_t). `solve_erasures` serves both the
 guess scan in codec.py, which hands it every syndrome so that it also
 tests the guess, and `decode_erasures`, which hands it exactly e.
+`SystematicCode.encode` is the one parity evaluator: it gives all c
+parities in one pass, and `decode_erasures` takes the residual syndromes
+from it.
 """
 
 from __future__ import annotations
@@ -71,40 +74,34 @@ class SystematicCode:
         # logcol[r-1][j] = log of the column entry alpha^(j*(r-1))
         self.logcol = [[(j * r) % order for j in range(k_prime)] for r in range(c)]
 
-    def parity(self, symbols: Sequence[int], r: int) -> int:
-        """Value of parity r in [1, c] for a full symbol sequence."""
-        if len(symbols) != self.k_prime:
-            raise ValueError(f"expected {self.k_prime} symbols, got {len(symbols)}")
-        if not 1 <= r <= self.c:
-            raise ValueError(f"parity index {r} out of range [1, {self.c}]")
-        exp, log = self.gf.exp, self.gf.log
-        logs = self.logcol[r - 1]
-        acc = 0
-        for s, col in zip(symbols, logs):
-            acc ^= exp[log[s] + col]
-        return acc
-
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """All c parities of the message (returned alongside, not replacing it)."""
-        return tuple(self.parity(message, r) for r in range(1, self.c + 1))
+        if len(message) != self.k_prime:
+            raise ValueError(f"expected {self.k_prime} symbols, got {len(message)}")
+        exp, log = self.gf.exp, self.gf.log
+        logs = [log[s] for s in message]
+        out = []
+        for cols in self.logcol:
+            acc = 0
+            for ls, col in zip(logs, cols):
+                acc ^= exp[ls + col]
+            out.append(acc)
+        return tuple(out)
 
     def decode_erasures(self, symbols: Sequence[int | None], parities: Sequence[int]) -> list[int]:
         """Fill in erased (None) positions using the first e parity values.
 
         Exactly e parities must be supplied, e = number of erasures.
         """
-        if len(symbols) != self.k_prime:
-            raise ValueError(f"expected {self.k_prime} symbols, got {len(symbols)}")
         erased = tuple(j for j, s in enumerate(symbols) if s is None)
         e = len(erased)
-        if e == 0:
-            return list(symbols)  # type: ignore[arg-type]
         if len(parities) != e:
             raise ValueError(f"{e} erasures need exactly the first {e} parities")
         if e > self.c:
             raise ValueError(f"{e} erasures exceed {self.c} parities")
-        known = [s or 0 for s in symbols]
-        rhs = [parities[r] ^ self.parity(known, r + 1) for r in range(e)]
+        # parities of the unerased symbols alone; encode checks the length
+        known = self.encode([s or 0 for s in symbols])
+        rhs = [p ^ k for p, k in zip(parities, known)]
         out = list(symbols)
         for j, x in zip(erased, solve_erasures(self.gf, erased, rhs)):  # type: ignore[arg-type]
             out[j] = x

@@ -4,7 +4,8 @@ the one hypothesis profile of the property tests.
 Wall time of the suite swings with the host's load; CPU time counts only
 the work done, in this process and in the worker processes a test started
 and waited for, so it gives a suite-time budget a figure that can be
-checked."""
+checked. The worker share is printed on its own, because trials that run
+in parallel workers cost more CPU than the same trials run serially."""
 
 import os
 import time
@@ -30,9 +31,10 @@ else:
 CPU_TIMES = pytest.StashKey[dict]()
 
 
-def _cpu_seconds() -> float:
+def _cpu_seconds() -> tuple[float, float]:
+    """CPU seconds of this process, and of its reaped worker processes."""
     t = os.times()
-    return time.process_time() + t.children_user + t.children_system
+    return time.process_time(), t.children_user + t.children_system
 
 
 def pytest_configure(config):
@@ -41,9 +43,10 @@ def pytest_configure(config):
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
-    start = _cpu_seconds()
+    own, workers = _cpu_seconds()
     yield
-    item.config.stash[CPU_TIMES][item.nodeid] = _cpu_seconds() - start
+    own_end, workers_end = _cpu_seconds()
+    item.config.stash[CPU_TIMES][item.nodeid] = (own_end - own, workers_end - workers)
 
 
 @pytest.hookimpl(trylast=True)
@@ -52,7 +55,11 @@ def pytest_terminal_summary(terminalreporter, config):
     if not times:
         return
     terminalreporter.write_sep("=", "slowest 10 CPU times")
-    for nodeid, t in sorted(times.items(), key=lambda kv: -kv[1])[:10]:
-        terminalreporter.write_line(f"{t:.2f}s cpu  {nodeid}")
-    total = sum(times.values())
-    terminalreporter.write_line(f"{total:.1f}s cpu in {len(times)} test calls")
+    for nodeid, (own, workers) in sorted(times.items(), key=lambda kv: -sum(kv[1]))[:10]:
+        terminalreporter.write_line(f"{own + workers:.2f}s cpu  {nodeid}")
+    own = sum(t[0] for t in times.values())
+    workers = sum(t[1] for t in times.values())
+    terminalreporter.write_line(
+        f"{own + workers:.1f}s cpu in {len(times)} test calls, "
+        f"{workers:.1f}s of it in worker processes"
+    )

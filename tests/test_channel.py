@@ -38,10 +38,12 @@ def test_insert_then_delete_inverts():
 
 
 def test_bounds_checking():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^deletion positions out of bounds for length 3$"):
         apply_edits("101", EditPlan("deletions", (4,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^insertion positions out of bounds for length 3$"):
         apply_edits("101", EditPlan("insertions", (5,), ("0",)))
+    with pytest.raises(ValueError, match="^deletion positions"):
+        apply_edits("101", EditPlan("deletions", (0,)))
     with pytest.raises(ValueError):
         EditPlan("deletions", (3, 3))
     with pytest.raises(ValueError):

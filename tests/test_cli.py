@@ -192,7 +192,7 @@ def test_simulate_csv_schema(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 1
     row = rows[0]
     assert row["k"] == "64" and row["scope"] == "whole" and row["trials"] == "40"
@@ -246,7 +246,7 @@ def test_sweep_rows_sorted(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [(r["ell"], r["c"]) for r in rows] == [("6", "3"), ("6", "4"), ("8", "3"), ("8", "4")]
 
 
@@ -261,7 +261,7 @@ def test_sync_emits_both_modes(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [r["mode"] for r in rows] == ["vt", "gc"]
     assert all(r["success_rate"] == "1.0" for r in rows)
 

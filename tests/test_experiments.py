@@ -1,5 +1,6 @@
 import math
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -85,6 +86,25 @@ def test_decoder_never_wrong_in_estimates():
         est = estimate_pf(GcParams(64, 6, 3, 2), scope=scope, trials=300, seed=5)
         assert est.wrong_successes == 0
         assert est.no_candidates == 0
+
+
+def test_estimate_matches_exact_failure_rate():
+    # exact P_f at (10, 4, 2, 1) for one systematic deletion: the share of
+    # (message, deleted position) pairs whose word has two or more
+    # preimages, the messages whose codewords reach it by one deletion
+    p = GcParams(10, 4, 2, 1)
+    codewords = [gc_encode(format(v, f"0{p.k}b"), p) for v in range(1 << p.k)]
+    preimages = defaultdict(set)
+    for v, cw in enumerate(codewords):
+        for i in range(p.n):
+            preimages[cw[:i] + cw[i + 1 :]].add(v)
+    counts = [len(preimages[cw[:i] + cw[i + 1 :]]) for cw in codewords for i in range(p.k)]
+    assert (sum(m > 1 for m in counts), len(counts)) == (60, 10_240)
+    # 10^4 trials expect 58.6 failures with sd 7.6; the seed and the 3-sd
+    # window 36..81 are fixed in advance, not fitted to a run
+    est = estimate_pf(p, "deletions", "systematic", trials=10_000, seed=3)
+    assert 36 <= est.failures <= 81
+    assert est.no_candidates == 0 and est.wrong_successes == 0
 
 
 def test_row_schema():

@@ -36,17 +36,22 @@ def test_erasure_two_positions(code16):
 
 
 def test_parity_check(code16):
-    got = code16.parity([13, 0, 6, 9], 2)
+    got = code16.encode([13, 0, 6, 9])[1]
     assert got != 7 and got == 2
-    assert code16.parity([14, 0, 13, 1], 2) == 7
-    assert code16.parity([0, 0, 0, 0], 1) == 0
+    assert code16.encode([14, 0, 13, 1])[1] == 7
+    assert code16.encode([0, 0, 0, 0])[0] == 0
 
 
-def test_parity_requires_full_length(code16):
+def test_encode_requires_full_length(code16):
     with pytest.raises(ValueError):
-        code16.parity([1, 2, 3], 1)
+        code16.encode([1, 2, 3])
+
+
+def test_erasure_free_input_needs_no_parities():
+    code = SystematicCode(field(4), 3, 2)
+    assert code.decode_erasures([1, 2, 3], []) == [1, 2, 3]
     with pytest.raises(ValueError):
-        code16.parity([1, 2, 3, 4], 3)
+        code.decode_erasures([1, 2, 3], [5])
 
 
 def test_erasure_roundtrip_all_patterns():
@@ -68,8 +73,7 @@ def test_erasure_roundtrip_all_patterns():
                                 holey[p] = None
                             got = code.decode_erasures(holey, list(parities[:e]))
                             assert got == msg
-                            for r in range(1, c + 1):
-                                assert code.parity(got, r) == parities[r - 1]
+                            assert code.encode(got) == parities
 
 
 def test_erasure_agrees_with_brute_force_search():
@@ -88,9 +92,7 @@ def test_erasure_agrees_with_brute_force_search():
                     cand = list(msg)
                     for p, v in zip(pos, fill):
                         cand[p] = v
-                    if all(
-                        code.parity(cand, r) == parities[r - 1] for r in range(1, e + 1)
-                    ):
+                    if code.encode(cand)[:e] == parities[:e]:
                         completions.append(cand)
                 assert completions == [msg]
                 holey = [None if j in pos else msg[j] for j in range(3)]
@@ -108,6 +110,8 @@ def test_parameter_validation():
         code.decode_erasures([None, None, None, None, 1], [1, 2, 3])
     with pytest.raises(ValueError):
         code.decode_erasures([None, 1, 2, 3, 4], [1, 2])
+    with pytest.raises(ValueError, match="expected 5 symbols, got 4"):
+        code.decode_erasures([None, 1, 2, 3], [1])
 
 
 
