@@ -28,15 +28,22 @@ class EditPlan:
             raise ValueError(f"scope must be one of {SCOPES}")
         if any(a >= b for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("positions must be strictly increasing")
+        what = f"{self.kind[:-1]} positions"
+        if self.positions and self.positions[0] < 1:
+            raise ValueError(f"{what} must be at least 1")
+        if self.kind == "deletions" and self.bits:
+            raise ValueError(f"{what} take no bits")
         if self.kind == "insertions" and len(self.bits) != len(self.positions):
             raise ValueError("insertions need one bit per position")
+        if any(b not in ("0", "1") for b in self.bits):
+            raise ValueError(f"{what} take only the bits '0' and '1'")
 
 
 def apply_edits(x: str, plan: EditPlan) -> str:
     """Delete the listed positions, or insert the given bits before them."""
     n = len(x)
     ins = plan.kind == "insertions"  # True == 1: an insertion may also follow the last bit
-    if plan.positions and not (1 <= plan.positions[0] and plan.positions[-1] <= n + ins):
+    if plan.positions and plan.positions[-1] > n + ins:  # EditPlan checks the lower bound
         raise ValueError(f"{plan.kind[:-1]} positions out of bounds for length {n}")
     bits = plan.bits if ins else ("",) * len(plan.positions)
     out = []

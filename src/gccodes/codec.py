@@ -38,8 +38,7 @@ from struct import pack, unpack
 from typing import Sequence
 
 from .channel import KINDS
-from .gf import field
-from .mds import SystematicCode, locator, solve_erasures
+from .mds import SystematicCode, locator, solve_erasures, systematic_code
 
 
 class MalformedTail(ValueError):
@@ -154,7 +153,7 @@ def _block_parities(bits: str, ell: int, c: int) -> tuple[int, ...]:
     last block is padded with zeros on the right for mapping only."""
     kp = -(-len(bits) // ell)
     symbols = _read_symbols(int(bits, 2), len(bits), 0, kp, ell, len(bits) - (kp - 1) * ell)
-    return SystematicCode(field(ell), kp, c).encode(symbols)
+    return systematic_code(ell, kp, c).encode(symbols)
 
 
 def _tile(pattern: int, width: int, span: int) -> int:
@@ -380,7 +379,8 @@ def _scan(
     gf = code.gf
     exp, log, e16 = gf.exp, gf.log, gf.exp16
     ell = gf.m
-    fb = gf.poly ^ gf.q  # alpha^ell as a field element
+    poly = gf.poly
+    fused = ell < 16  # every lane leaves bit 15 clear
     kp = code.k_prime
     cn = len(p)
     nlens = [ell] * (kp - 1) + [k - (kp - 1) * ell]
@@ -436,10 +436,12 @@ def _scan(
         return int.from_bytes(pack(f"<{len(values)}H", *values), "little")
 
     def times_alpha(X: int, ones: int) -> int:
-        """Every lane of X times alpha: shift each lane left by one and fold
-        its carry out of bit ell - 1 back in as alpha^ell = fb."""
+        """Every lane of X times alpha, for any ell. Lane p's carry t out of
+        bit ell - 1 lands on bit ell, or on bit 0 of lane p + 1 at ell = 16;
+        t * (poly ^ 1) clears it there and folds in alpha^ell but for its
+        constant term, which ^ t adds, so no two lanes' products meet."""
         t = X >> ell - 1 & ones
-        return (X ^ t << ell - 1) << 1 ^ t * fb
+        return X << 1 ^ t * (poly ^ 1) ^ t
 
     def pairs(lo, itop, jtop, LC0, C1, Gp, Hp, kap, Ts, Tw, Lw, entries, w, u):
         """Window 0 of every final pair (i, w edits), (j, u edits) after the
@@ -455,22 +457,33 @@ def _scan(
             # zero lane at once, and also any lane of value 1 directly above
             # a flagged lane (the borrow out of the lane below wraps it);
             # such a pair reaches accept, whose solve_erasures re-tests
-            # window 0 (c > z) and rejects it
+            # window 0 (c > z) and rejects it. hi keeps the first row's
+            # lanes: when x < ones, x - ones is negative and every lane
+            # above this row's top reads as a hit, so the first j >= jtop
+            # ends the row
             cp = int.from_bytes(e16[2 * (lc0 + i + 1) : 2 * (lc0 + jtop)], "little")
             x = Gp ^ Hp ^ c1 * ones ^ cp
             hits = (x - ones) & ~x & hi
             while hits:  # lowest lane first
                 j = i + ((hits & -hits).bit_length() >> 4)
+                if j >= jtop:
+                    break
                 hits &= hits - 1
                 accept(
                     [kap[r] ^ Ts[r][i] ^ Tw[r][i + 1] ^ Lw[r][j] for r in range(cn)],
                     entries + ((i, w), (j, u)),
                 )
-            # drop lane j = i + 1 and step a_i H(j) to a_(i+1) H(j)
+            # drop lane j = i + 1 and step a_i H(j) to a_(i+1) H(j). Below
+            # ell = 16 bit 15 of every lane is clear, so Hp >> 15 does both
+            # but leaves each lane's carry on its bit ell; that carry, read
+            # as Hp >> 15 + ell, times poly (< 2^16) clears it and folds in
+            # alpha^ell
             Gp >>= 16
             ones >>= 16
-            hi >>= 16
-            Hp = times_alpha(Hp >> 16, ones)
+            if fused:
+                Hp = Hp >> 15 ^ (Hp >> 15 + ell & ones) * poly
+            else:
+                Hp = times_alpha(Hp >> 16, ones)
 
     if d == 0:
         accept([pr ^ t[kp] for pr, t in zip(p, T[0])], ())
@@ -616,7 +629,7 @@ def _decode(
     """Pool the candidates of every (region, d_s) split of `bits`: the
     parity symbols must lie in the field, and the prefix tables are built
     once, for the largest d_s (`_prefix_tables`)."""
-    code = SystematicCode(field(ell), -(-k // ell), len(parities))  # checks k' + c <= q
+    code = systematic_code(ell, -(-k // ell), len(parities))  # checks k' + c <= q
     if any(not 0 <= s < code.gf.q for s in parities):
         raise ValueError(f"parity symbols must lie in [0, {code.gf.q})")
     T = _prefix_tables(bits, k, max(d_s for _, d_s in splits), code, deletions)
@@ -682,7 +695,7 @@ def decode_case(
     if mode not in KINDS:
         raise ValueError(f"mode must be one of {KINDS}")
     deletions = mode == "deletions"
-    code = SystematicCode(field(ell), -(-k // ell), len(parities))  # checks k' + c <= q
+    code = systematic_code(ell, -(-k // ell), len(parities))  # checks k' + c <= q
     kp = code.k_prime
     if len(assignment) != kp:
         raise ValueError(f"assignment must have {kp} entries")

@@ -14,14 +14,15 @@ guess scan in codec.py, which hands it every syndrome so that it also
 tests the guess, and `decode_erasures`, which hands it exactly e.
 `SystematicCode.encode` is the one parity evaluator: it gives all c
 parities in one pass, and `decode_erasures` takes the residual syndromes
-from it.
+from it. `systematic_code` shares one immutable instance per (m, k', c).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
-from .gf import GF2m
+from .gf import GF2m, field
 
 
 def locator(gf: GF2m, positions: Sequence[int]) -> list[int]:
@@ -72,7 +73,7 @@ class SystematicCode:
         self.c = c
         order = gf.q - 1
         # logcol[r-1][j] = log of the column entry alpha^(j*(r-1))
-        self.logcol = [[(j * r) % order for j in range(k_prime)] for r in range(c)]
+        self.logcol = tuple(tuple((j * r) % order for j in range(k_prime)) for r in range(c))
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """All c parities of the message (returned alongside, not replacing it)."""
@@ -106,3 +107,11 @@ class SystematicCode:
         for j, x in zip(erased, solve_erasures(self.gf, erased, rhs)):  # type: ignore[arg-type]
             out[j] = x
         return out  # type: ignore[return-value]
+
+
+@lru_cache(maxsize=4)
+def systematic_code(m: int, k_prime: int, c: int) -> SystematicCode:
+    """Shared SystematicCode over field(m), like `gf.field`. A sync repair
+    encodes and decodes with the same code, then meets a new k' in the
+    next repair, so a few recent codes are all worth keeping."""
+    return SystematicCode(field(m), k_prime, c)

@@ -50,6 +50,21 @@ def test_bounds_checking():
         EditPlan("insertions", (1, 2), ("0",))
 
 
+def test_plans_are_checked_where_they_are_built():
+    # a deletion plan once carried bits that apply_edits dropped silently
+    with pytest.raises(ValueError, match="^deletion positions take no bits$"):
+        EditPlan("deletions", (2,), ("1",))
+    with pytest.raises(ValueError, match="^deletion positions must be at least 1$"):
+        EditPlan("deletions", (0, 2))
+    with pytest.raises(ValueError, match="^insertion positions must be at least 1$"):
+        EditPlan("insertions", (-1,), ("0",))
+    for bad in ("2", "01", "", " "):
+        with pytest.raises(ValueError, match="^insertion positions take only the bits"):
+            EditPlan("insertions", (1, 3), ("1", bad))
+    assert EditPlan("deletions", (1,)).bits == ()
+    assert apply_edits("101", EditPlan("insertions", (1, 4), ("0", "1"))) == "01011"
+
+
 def test_sample_plan_deterministic():
     a = sample_plan(100, 5, "deletions", "whole", seed=42)
     b = sample_plan(100, 5, "deletions", "whole", seed=42)

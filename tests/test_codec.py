@@ -469,19 +469,28 @@ def _candidates(out) -> set:
     return set(out.candidates) if isinstance(out, Failure) else set()
 
 
-@pytest.mark.parametrize("mode", ["deletions", "insertions"])
-def test_tiny_code_candidates_are_the_preimages(mode):
+@pytest.mark.parametrize(
+    "mode, params, ambiguous",
+    [
+        ("deletions", GcParams(10, 4, 2, 1), True),
+        ("insertions", GcParams(10, 4, 2, 1), True),
+        ("deletions", GcParams(8, 3, 3, 2), False),
+    ],
+    ids=["deletions", "insertions", "deletions-d2"],
+)
+def test_tiny_code_candidates_are_the_preimages(mode, params, ambiguous):
     # exhaustive over messages and edit patterns: every word within delta
     # edits of a codeword must decode to exactly the messages whose
     # codewords reach it (by |n - |word|| edits), so the decoder is sound
-    # and complete; (10, 4, 2, 1) is small and has words with two preimages
-    params = GcParams(10, 4, 2, 1)
+    # and complete; (10, 4, 2, 1) is small and has words with two
+    # preimages, and (8, 3, 3, 2) runs the lane pair test on all 13,568
+    # words within two deletions, where q = 8 leaves rows whose x < ones
     preimages = defaultdict(set)
     for v in range(1 << params.k):
         msg = format(v, f"0{params.k}b")
         for word in _within_edits(gc_encode(msg, params), params.delta, mode):
             preimages[word].add(msg)
-    assert any(len(msgs) > 1 for msgs in preimages.values())
+    assert any(len(msgs) > 1 for msgs in preimages.values()) == ambiguous
     for word, msgs in preimages.items():
         assert _candidates(gc_decode(word, params, mode)) == msgs, word
 
@@ -568,11 +577,14 @@ class TestEngineAgainstReference:
             check_against_reference(msg, region, 4, 5, "deletions")
 
     def test_full_width_lanes(self):
-        # ell = 16 fills each 16-bit lane, so its top bit is a symbol bit
+        # ell = 16 fills each 16-bit lane, so its top bit is a symbol bit;
+        # ell = 15 is the widest field that steps a row with one shift by
+        # 15, its carry landing on bit 15
         rng = random.Random(71)
-        for t in range(8):
-            mode = ("deletions", "insertions")[t % 2]
-            _check_against_reference(rng, 40 * 16 - t, 16, 3, 2, mode, t)
+        for ell in (15, 16):
+            for t in range(8):
+                mode = ("deletions", "insertions")[t % 2]
+                _check_against_reference(rng, 40 * ell - t, ell, 3, 2, mode, t)
 
     def test_single_block(self):
         rng = random.Random(51)
