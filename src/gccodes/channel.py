@@ -19,13 +19,10 @@ class EditPlan:
     kind: str  # "deletions" | "insertions"
     positions: tuple[int, ...]  # 1-indexed, strictly increasing
     bits: tuple[str, ...] = ()  # inserted bit per position (insertions only)
-    scope: str = "whole"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.scope not in SCOPES:
-            raise ValueError(f"scope must be one of {SCOPES}")
         if any(a >= b for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("positions must be strictly increasing")
         what = f"{self.kind[:-1]} positions"
@@ -64,8 +61,8 @@ def sample_plan(
     systematic_len: int | None = None,
 ) -> EditPlan:
     """d distinct edit positions, uniform without replacement; insertions
-    also draw fair-coin bit values. `systematic_len` bounds the positions
-    when scope is "systematic". Deterministic in the seed."""
+    also draw fair-coin bit values. `systematic_len`, in [0, length], bounds
+    the positions when scope is "systematic". Deterministic in the seed."""
     rng = random.Random(seed)
     return _sample_plan(rng, length, d, kind, scope, systematic_len)
 
@@ -78,13 +75,16 @@ def _sample_plan(
     scope: str,
     systematic_len: int | None,
 ) -> EditPlan:
-    # EditPlan checks the kind and the scope
+    # EditPlan checks the kind
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {SCOPES}")
+    limit = length
     if scope == "systematic":
         if systematic_len is None:
             raise ValueError("systematic scope needs systematic_len")
+        if not 0 <= systematic_len <= length:
+            raise ValueError(f"systematic_len must be in [0, {length}]")
         limit = systematic_len
-    else:
-        limit = length
     if kind == "insertions":
         limit += 1  # slot after the last in-scope bit
     if d > limit:
@@ -93,7 +93,7 @@ def _sample_plan(
     bits = ()
     if kind == "insertions":
         bits = tuple("1" if rng.getrandbits(1) else "0" for _ in positions)
-    return EditPlan(kind, positions, bits, scope)
+    return EditPlan(kind, positions, bits)
 
 
 def run_trials(trial, trials: int, seed: int, workers: int) -> list:

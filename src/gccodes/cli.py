@@ -171,7 +171,7 @@ def _cmd_corrupt(args) -> int:
         json.dumps(
             {
                 "kind": plan.kind,
-                "scope": plan.scope,
+                "scope": args.scope,
                 "positions": list(plan.positions),
                 "bits": list(plan.bits),
             }

@@ -56,18 +56,12 @@ class GcParams:
     delta: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if not 2 <= self.ell <= 16:
-            raise ValueError("ell must be in [2, 16] (GF(2^ell) backing)")
         if not self.c > self.delta >= 1:
             raise ValueError("need c > delta >= 1")
-        if self.delta > self.ell:
+        if self.delta > self.ell:  # also keeps ell >= 1 for k_prime's division
             raise ValueError("delta must not exceed the chunk length ell")
-        if self.k_prime + self.c > 1 << self.ell:
-            raise ValueError(
-                f"k'+c = {self.k_prime + self.c} exceeds field size {1 << self.ell}"
-            )
+        # the field checks ell, and the code checks k' >= 1 and k' + c <= 2^ell
+        systematic_code(self.ell, self.k_prime, self.c)
 
     @property
     def k_prime(self) -> int:
@@ -239,6 +233,7 @@ def _rep_decode_ins(remnant: str, rep: int, groups: int) -> str | None:
 def _recover_parities(
     received: str, params: GcParams, mode: str
 ) -> tuple[str, list[tuple[str, int]]]:
+    _check_bits(received)
     deletions = mode == "deletions"
     d = params.n - len(received) if deletions else len(received) - params.n
     if not 0 <= d <= params.delta:
@@ -267,13 +262,11 @@ def _recover_parities(
 def recover_parities_del(received: str, params: GcParams) -> tuple[str, list[tuple[str, int]]]:
     """Recover the c*ell parity bits from a deletion-hit codeword and list
     every feasible (systematic prefix, d_s) split of the boundary."""
-    _check_bits(received)
     return _recover_parities(received, params, "deletions")
 
 
 def recover_parities_ins(received: str, params: GcParams) -> tuple[str, list[tuple[str, int]]]:
     """Insertion-channel counterpart of recover_parities_del."""
-    _check_bits(received)
     return _recover_parities(received, params, "insertions")
 
 
@@ -652,7 +645,6 @@ def gc_decode(received: str, params: GcParams, mode: str = "deletions") -> Decod
     """
     if mode not in KINDS:
         raise ValueError(f"mode must be one of {KINDS}")
-    _check_bits(received)
     try:
         parity_bits, splits = _recover_parities(received, params, mode)
     except MalformedTail:

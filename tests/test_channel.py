@@ -83,6 +83,9 @@ def test_sample_plan_scope():
         assert all(1 <= p <= 40 for p in plan.positions)
     with pytest.raises(ValueError):
         sample_plan(100, 3, "deletions", "systematic", 0)
+    for bad in (-1, 101):
+        with pytest.raises(ValueError, match="systematic_len"):
+            sample_plan(100, 1, "deletions", "systematic", 0, systematic_len=bad)
 
 
 def test_sample_plan_rejects_bad_kind_and_scope():

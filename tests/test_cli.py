@@ -85,6 +85,12 @@ def test_malformed_input_exits_one(tmp_path, monkeypatch, capsys):
             text=True,
         )
     assert proc.returncode == 1 and proc.stderr.startswith("error: "), proc.stderr
+    # code parameters the field or the code rejects (at k = 16, ell = 2,
+    # k' + c > 2^ell): an error line, not a traceback
+    for k, ell in [(16, 0), (16, 1), (16, 17), (0, 4), (-3, 4), (16, 2)]:
+        flags = ["--k", str(k), "--ell", str(ell), "--c", "2", "--delta", "1"]
+        code, _, err = run(["simulate", *flags, "--trials", "1"], capsys)
+        assert code == 1 and err.startswith("error: "), (k, ell, err)
 
 
 def test_unknown_flag_exits_one(capsys):

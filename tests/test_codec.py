@@ -69,8 +69,19 @@ class TestParams:
             GcParams(k=16, ell=4, c=6, delta=5)  # delta > ell
         with pytest.raises(ValueError):
             GcParams(k=256, ell=4, c=2, delta=1)  # 64 + 2 symbols > GF(16)
+        # a ValueError, never a ZeroDivisionError from k_prime (the CLI
+        # catches only the former)
+        for k, ell in [(16, 0), (16, 1), (16, 17), (0, 4), (-3, 4)]:
+            with pytest.raises(ValueError):
+                GcParams(k=k, ell=ell, c=2, delta=1)
+
+    @pytest.mark.parametrize("ell", range(2, 17))
+    def test_field_size_is_the_only_limit_on_k_prime(self, ell):
+        # k' + c may reach 2^ell exactly, one more is out of the field
+        q = 1 << ell
+        assert GcParams(k=(q - 2) * ell, ell=ell, c=2, delta=1).k_prime + 2 == q
         with pytest.raises(ValueError):
-            GcParams(k=16, ell=17, c=2, delta=1)
+            GcParams(k=(q - 1) * ell, ell=ell, c=2, delta=1)
 
 
 class TestEncode:
@@ -172,6 +183,15 @@ class TestParityRecovery:
             recover_parities_del(CODEWORD_A[2:], PARAMS_16)
         with pytest.raises(ValueError):
             recover_parities_ins("0" * 34, PARAMS_16)
+
+    def test_non_bits_rejected(self):
+        for bad in ("2" + CODEWORD_A[1:], CODEWORD_A[:-1] + "x"):
+            for recover in (recover_parities_del, recover_parities_ins):
+                with pytest.raises(ValueError, match="only '0' and '1'"):
+                    recover(bad, PARAMS_16)
+            for mode in ("deletions", "insertions"):
+                with pytest.raises(ValueError, match="only '0' and '1'"):
+                    gc_decode(bad, PARAMS_16, mode)
 
     def test_insertion_tail_rule_matches_its_definition(self):
         # every remnant of up to 12 bits with 0 <= extra < rep: the greedy
