@@ -9,7 +9,6 @@ from .codec import (
     MalformedTail,
     NoCandidate,
     Success,
-    decode_case,
     decode_with_parities,
     gc_decode,
     gc_encode,
@@ -44,7 +43,6 @@ __all__ = [
     "VtSyndrome",
     "anchor_split",
     "apply_edits",
-    "decode_case",
     "decode_with_parities",
     "estimate_pf",
     "field",

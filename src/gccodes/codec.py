@@ -12,10 +12,8 @@ for consistency (as a supersequence or subsequence) with the bits actually
 received for them. The decoder reports success only when all surviving
 guesses agree on one message, so it can fail to decode but never decodes
 wrongly. The window test and the solve are both `mds.solve_erasures`.
-`decode_case` is the independent single-guess reference: it takes one
-guess, erasure-decodes it through `SystematicCode.decode_erasures` (the
-same solver, given only the leading parities) and checks the unused
-parities afterwards with `SystematicCode.encode`.
+The tests hold the single-guess reference decoder that this scan must
+agree with (`decode_case` in tests/vectors.py).
 
 The tail rules: after deletions every run is rounded up to whole groups
 of delta+1, exact since no run loses delta+1 bits; after insertions one
@@ -670,71 +668,3 @@ def decode_with_parities(
         raise ValueError("need more than d parity symbols to decode d edits")
     return _decode(received, [(received, d)], k, ell, parities, mode == "deletions")
 
-
-def decode_case(
-    systematic_region: str,
-    assignment: Sequence[int],
-    parities: Sequence[int],
-    k: int,
-    ell: int,
-    mode: str = "deletions",
-) -> str | None:
-    """Reference single-guess decoder for a k-bit message in ell-bit blocks:
-    chunk the region per the assignment, erasure-decode the assumed-hit
-    blocks with the leading parities, and accept only if the unused
-    parities and the per-block checks pass. Returns the candidate message,
-    or None when the guess is impossible; the scan is its optimized form."""
-    if mode not in KINDS:
-        raise ValueError(f"mode must be one of {KINDS}")
-    deletions = mode == "deletions"
-    code = systematic_code(ell, -(-k // ell), len(parities))  # checks k' + c <= q
-    kp = code.k_prime
-    if len(assignment) != kp:
-        raise ValueError(f"assignment must have {kp} entries")
-    if any(v < 0 for v in assignment):
-        raise ValueError("assignment entries must be non-negative")
-    d = sum(assignment)
-    expected = k - d if deletions else k + d
-    if len(systematic_region) != expected:
-        raise ValueError(f"region must be {expected} bits for this assignment")
-
-    nlens = [ell] * (kp - 1) + [k - (kp - 1) * ell]
-    chunks = []
-    pos = 0
-    for nl, v in zip(nlens, assignment):
-        clen = nl - v if deletions else nl + v
-        if clen < 0:
-            return None  # block cannot lose more bits than it has
-        chunks.append(systematic_region[pos : pos + clen])
-        pos += clen
-
-    symbols: list[int | None] = []
-    for i, (chunk, v) in enumerate(zip(chunks, assignment)):
-        if v > 0:
-            symbols.append(None)
-        else:
-            symbols.append(int(chunk, 2) << (ell - len(chunk)) if chunk else 0)
-    e = sum(1 for s in symbols if s is None)
-    decoded = code.decode_erasures(symbols, list(parities[:e]))
-
-    if code.encode(decoded)[e:] != tuple(parities[e:]):
-        return None
-
-    parts = []
-    for i, (chunk, v) in enumerate(zip(chunks, assignment)):
-        nl = nlens[i]
-        if v == 0:
-            parts.append(chunk)
-            continue
-        bits = format(decoded[i], f"0{ell}b")
-        content = bits[:nl]
-        if nl < ell and "1" in bits[nl:]:
-            return None
-        if deletions:
-            if not subsequence_check(chunk, content):
-                return None
-        else:
-            if not subsequence_check(content, chunk):
-                return None
-        parts.append(content)
-    return "".join(parts)

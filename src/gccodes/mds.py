@@ -9,12 +9,11 @@ b_r = sum_t X_t * a_t^r, a_t = alpha^(p_t), and Forney's erasure decoding
 solves them: the locator P(x) = prod_t (x + a_t) annihilates every window,
 sum_t P_t b_(m+t) = 0, of syndromes that e erasures explain, and
 Q_t = P/(x + a_t) vanishes at every node but a_t, so
-X_t = sum_r [x^r]Q_t * b_r / Q_t(a_t). `solve_erasures` serves both the
-guess scan in codec.py, which hands it every syndrome so that it also
-tests the guess, and `decode_erasures`, which hands it exactly e.
-`SystematicCode.encode` is the one parity evaluator: it gives all c
-parities in one pass, and `decode_erasures` takes the residual syndromes
-from it. `systematic_code` shares one immutable instance per (m, k', c).
+X_t = sum_r [x^r]Q_t * b_r / Q_t(a_t). `solve_erasures` is the one
+erasure entry point: the guess scan in codec.py hands it every syndrome,
+so that it also tests the guess. `SystematicCode.encode` is the one
+parity evaluator: it gives all c parities in one pass. `systematic_code`
+shares one immutable instance per (m, k', c).
 """
 
 from __future__ import annotations
@@ -88,25 +87,6 @@ class SystematicCode:
                 acc ^= exp[ls + col]
             out.append(acc)
         return tuple(out)
-
-    def decode_erasures(self, symbols: Sequence[int | None], parities: Sequence[int]) -> list[int]:
-        """Fill in erased (None) positions using the first e parity values.
-
-        Exactly e parities must be supplied, e = number of erasures.
-        """
-        erased = tuple(j for j, s in enumerate(symbols) if s is None)
-        e = len(erased)
-        if len(parities) != e:
-            raise ValueError(f"{e} erasures need exactly the first {e} parities")
-        if e > self.c:
-            raise ValueError(f"{e} erasures exceed {self.c} parities")
-        # parities of the unerased symbols alone; encode checks the length
-        known = self.encode([s or 0 for s in symbols])
-        rhs = [p ^ k for p, k in zip(parities, known)]
-        out = list(symbols)
-        for j, x in zip(erased, solve_erasures(self.gf, erased, rhs)):  # type: ignore[arg-type]
-            out[j] = x
-        return out  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=4)

@@ -24,6 +24,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import partial
+from math import comb
 
 from .channel import _sample_plan, apply_edits, run_trials
 from .codec import Failure, Success, _block_parities, _check_bits, decode_with_parities
@@ -95,19 +96,22 @@ def _bits_for(count: int) -> int:
     return (count - 1).bit_length() if count > 1 else 0
 
 
-# A GC repair scans O((a_len/ell)^d) guesses; past this many blocks an
-# anchor split narrows the segment more cheaply than a repair attempt.
-_MAX_REPAIR_BLOCKS = 1500
+# A GC repair of gap d scans C(k' + d - 1, d) guesses, the ways to spread d
+# deletions over k' blocks; past this many an anchor split narrows the
+# segment more cheaply than a repair attempt. The budget is C(1501, 2), so
+# at d = 2 it admits exactly k' <= 1,500 blocks.
+_MAX_REPAIR_GUESSES = comb(1501, 2)
 
 
-def _segment_ell(a_len: int, c_total: int) -> int | None:
-    """Chunk length for a GC repair: log2 of the segment length, bumped up
-    until the field can hold the blocks plus all parities ever needed.
-    None when no ell <= 16 works or the segment is too long to repair."""
+def _segment_ell(a_len: int, d: int, c_max: int) -> int | None:
+    """Chunk length for a GC repair of gap d: log2 of the segment length,
+    bumped up until the field can hold the blocks plus all c_max parities
+    ever needed and the guesses fit the budget. None when no ell <= 16
+    works."""
     ell = min(max(2, _bits_for(a_len + 1)), 16)
     while ell <= 16:
         kp = -(-a_len // ell)
-        if kp + c_total <= 1 << ell and kp <= _MAX_REPAIR_BLOCKS:
+        if kp + c_max <= 1 << ell and comb(kp + d - 1, d) <= _MAX_REPAIR_GUESSES:
             return ell
         ell += 1
     return None
@@ -168,10 +172,12 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
     while stack:
         rnd, seg = stack.pop()
         d = seg.d
-        # GC repair needs a field that holds the blocks and every parity; a
-        # segment too large for it goes to an anchor like any d > 1 in VT mode
+        # GC repair needs a field that holds the blocks and every parity, and
+        # a guess count within the budget; a segment too large for either
+        # goes to an anchor like any d > 1 in VT mode
         gc = config.mode == "gc" and 2 <= d <= config.delta_cap
-        ell = _segment_ell(seg.a_len, 2 * d + 3) if gc else None
+        c_max = 2 * d + 3  # the parities of a repair's last retry
+        ell = _segment_ell(seg.a_len, d, c_max) if gc else None
 
         if d > 1 and ell is None:
             ledger.append((rnd, "a2b", "anchor", min(config.anchor_len, seg.a_len)))
@@ -195,13 +201,13 @@ def run_sync(file_a: str, file_b: str, config: SyncConfig) -> SyncStats:
             settle(rnd, seg, a_seg, vt_correct(b_seg, vt_syndrome(a_seg)))
         else:
             # d + 1 parities first, then one more per round while decoding
-            # fails, up to 2d + 3; A encodes only the c parities it sends
+            # fails, up to c_max; A encodes only the c parities it sends
             c = d + 1
             ledger.append((rnd, "a2b", "gc_parities", c * ell + hash_len))
             while True:
                 parities = _block_parities(a_seg, ell, c)
                 outcome = decode_with_parities(b_seg, seg.a_len, ell, parities)
-                if not isinstance(outcome, Failure) or c == 2 * d + 3:
+                if not isinstance(outcome, Failure) or c == c_max:
                     break
                 rnd += 1
                 c += 1

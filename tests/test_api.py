@@ -1,6 +1,8 @@
+import ast
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import gccodes
 
@@ -35,6 +37,24 @@ def test_benchmark_names_are_exported():
     missing = [name for name in BENCHMARK_NAMES if name not in gccodes.__all__]
     assert missing == []
     assert callable(gccodes.SystematicCode.encode)
+
+
+def test_every_export_has_a_library_caller():
+    # a public name must be used by the library itself, not only by the
+    # tests; the exempt names are the benchmark's (it looks them up in
+    # __all__) and the paper's gamma census, a result that only the
+    # acceptance tests run
+    exempt = set(BENCHMARK_NAMES) | {"gamma_census"}
+    used = set()
+    for path in Path(gccodes.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(gccodes.__all__) - used - exempt) == []
 
 
 # Names the benchmark wraps in gccodes.sync to time the sync, vt and mds

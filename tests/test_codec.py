@@ -15,7 +15,6 @@ from gccodes import (
     NoCandidate,
     Success,
     apply_edits,
-    decode_case,
     decode_with_parities,
     gc_decode,
     gc_encode,
@@ -42,6 +41,7 @@ from vectors import (
     TAIL_A,
     check_against_reference,
     check_gc_decode_against_splits,
+    decode_case,
     delete,
     enumerate_cases,
 )
@@ -513,6 +513,35 @@ def test_tiny_code_candidates_are_the_preimages(mode, params, ambiguous):
     assert any(len(msgs) > 1 for msgs in preimages.values()) == ambiguous
     for word, msgs in preimages.items():
         assert _candidates(gc_decode(word, params, mode)) == msgs, word
+
+
+def _deleted(word, a):
+    """Every distinct word that exactly a deletions make from `word`."""
+    level = {word}
+    for _ in range(a):
+        level = {w[:i] + w[i + 1 :] for w in level for i in range(len(w))}
+    return level
+
+
+def test_d3_candidates_are_the_preimages():
+    # the carried-prefix scan at d = 3, exhaustively: each of the 8,320
+    # words that three deletions inside the message make from a codeword of
+    # (9, 3, 4, 3) must decode to exactly the messages whose codewords reach
+    # it by three deletions anywhere, message or tail
+    params = GcParams(9, 3, 4, 3)
+    k, d = params.k, params.delta
+    codewords = [gc_encode(format(v, f"0{k}b"), params) for v in range(1 << k)]
+    preimages = {u + cw[k:]: set() for cw in codewords for u in _deleted(cw[:k], d)}
+    assert len(preimages) == 8320
+    for cw in codewords:
+        for a in range(d + 1):  # a deletions in the message, d - a in the tail
+            tails = _deleted(cw[k:], d - a)
+            for u in _deleted(cw[:k], a):
+                for v in tails:
+                    if u + v in preimages:
+                        preimages[u + v].add(cw[:k])
+    for word, msgs in preimages.items():
+        assert _candidates(gc_decode(word, params)) == msgs, word
 
 
 def _check_against_reference(rng, k, ell, c, d, mode, seed):

@@ -6,6 +6,8 @@ import pytest
 from gccodes.gf import field
 from gccodes.mds import SystematicCode, solve_erasures
 
+from vectors import decode_erasures
+
 
 @pytest.fixture
 def code16():
@@ -27,12 +29,12 @@ def test_encode_second_example(code16):
 
 
 def test_erasure_single_position(code16):
-    assert code16.decode_erasures([None, 0, 6, 9], [2]) == [13, 0, 6, 9]
-    assert code16.decode_erasures([14, 0, 13, None], [2]) == [14, 0, 13, 1]
+    assert decode_erasures(code16, [None, 0, 6, 9], [2]) == [13, 0, 6, 9]
+    assert decode_erasures(code16, [14, 0, 13, None], [2]) == [14, 0, 13, 1]
 
 
 def test_erasure_two_positions(code16):
-    assert code16.decode_erasures([None, 0, None, 1], [2, 7]) == [14, 0, 13, 1]
+    assert decode_erasures(code16, [None, 0, None, 1], [2, 7]) == [14, 0, 13, 1]
 
 
 def test_parity_check(code16):
@@ -49,9 +51,9 @@ def test_encode_requires_full_length(code16):
 
 def test_erasure_free_input_needs_no_parities():
     code = SystematicCode(field(4), 3, 2)
-    assert code.decode_erasures([1, 2, 3], []) == [1, 2, 3]
+    assert decode_erasures(code, [1, 2, 3], []) == [1, 2, 3]
     with pytest.raises(ValueError):
-        code.decode_erasures([1, 2, 3], [5])
+        decode_erasures(code, [1, 2, 3], [5])
 
 
 def test_erasure_roundtrip_all_patterns():
@@ -71,7 +73,7 @@ def test_erasure_roundtrip_all_patterns():
                             holey = list(msg)
                             for p in pos:
                                 holey[p] = None
-                            got = code.decode_erasures(holey, list(parities[:e]))
+                            got = decode_erasures(code, holey, list(parities[:e]))
                             assert got == msg
                             assert code.encode(got) == parities
 
@@ -96,7 +98,7 @@ def test_erasure_agrees_with_brute_force_search():
                         completions.append(cand)
                 assert completions == [msg]
                 holey = [None if j in pos else msg[j] for j in range(3)]
-                assert code.decode_erasures(holey, list(parities[:e])) == msg
+                assert decode_erasures(code, holey, list(parities[:e])) == msg
 
 
 def test_parameter_validation():
@@ -107,11 +109,11 @@ def test_parameter_validation():
         SystematicCode(gf, k_prime=5, c=4)  # 9 symbols in a size-8 field
     code = SystematicCode(gf, k_prime=5, c=3)
     with pytest.raises(ValueError):
-        code.decode_erasures([None, None, None, None, 1], [1, 2, 3])
+        decode_erasures(code, [None, None, None, None, 1], [1, 2, 3])
     with pytest.raises(ValueError):
-        code.decode_erasures([None, 1, 2, 3, 4], [1, 2])
+        decode_erasures(code, [None, 1, 2, 3, 4], [1, 2])
     with pytest.raises(ValueError, match="expected 5 symbols, got 4"):
-        code.decode_erasures([None, 1, 2, 3], [1])
+        decode_erasures(code, [None, 1, 2, 3], [1])
 
 
 

@@ -78,7 +78,7 @@ def test_first_gc_message_carries_d_plus_one_parities():
         fb = apply_edits(fa, EditPlan("deletions", tuple(range(100, 100 + 150 * d, 150))))
         stats = run_sync(fa, fb, SyncConfig(mode="gc", delta_cap=d))
         assert stats.success
-        ell = _segment_ell(600, 2 * d + 3)
+        ell = _segment_ell(600, d, 2 * d + 3)
         assert stats.ledger[0] == (1, "a2b", "gc_parities", (d + 1) * ell + 32)
 
 
@@ -145,10 +145,22 @@ def test_anchor_split_matches_its_definition():
 
 
 def test_segment_ell_bounds():
-    assert _segment_ell(1000, 7) == 10
-    assert _segment_ell(30, 7) == 5
-    assert _segment_ell(2, 7) == 3  # bumped until one block plus parities fit
-    assert _segment_ell(10**6, 7) is None  # too many blocks to guess over
+    assert _segment_ell(1000, 2, 7) == 10
+    assert _segment_ell(30, 2, 7) == 5
+    assert _segment_ell(2, 2, 7) == 3  # bumped until one block plus parities fit
+    assert _segment_ell(10**6, 2, 7) is None  # too many blocks to guess over
+
+
+def test_segment_ell_caps_the_guess_count():
+    # a repair of gap d scans C(k' + d - 1, d) guesses; the budget C(1501, 2)
+    # admits k' up to 1,500 at d = 2, 188 at d = 3 and 70 at d = 4
+    assert _segment_ell(24_000, 2, 7) == 16  # k' = 1,500
+    assert _segment_ell(24_001, 2, 7) is None
+    assert _segment_ell(3_008, 3, 9) == 16  # k' = 188
+    assert _segment_ell(3_009, 3, 9) is None
+    assert _segment_ell(700, 4, 11) == 10  # k' = 70
+    assert _segment_ell(701, 4, 11) == 11  # k' = 71 is over, 64 fits
+    assert _segment_ell(2_000, 4, 11) is None  # k' = 182 at ell = 11 before
 
 
 def test_gc_retry_requests_one_parity_at_a_time():
@@ -162,6 +174,19 @@ def test_gc_retry_requests_one_parity_at_a_time():
     kinds = [(kind, bits) for _, _, kind, bits in stats.ledger]
     assert ("gc_parities", 3 * 5 + 32) in kinds
     assert ("gc_parity", 5) in kinds
+
+
+def test_gc_retry_can_take_two_parities():
+    # d = 2: the d + 1 = 3 parities and then a fourth leave two candidates,
+    # and only the fifth settles the segment, so retries must reach past
+    # d + 2 parities
+    stats = run_sync("000110011010001011000101110", "0001101101001011000101110", SyncConfig("gc"))
+    assert stats.success
+    assert stats.ledger == (
+        (1, "a2b", "gc_parities", 47),
+        (2, "a2b", "gc_parity", 5),
+        (3, "a2b", "gc_parity", 5),
+    )
 
 
 def test_ledger_audits_totals():

@@ -1,5 +1,6 @@
-"""Shared worked-example vectors, the guess enumerator and reference-decoder
-check, and the exact-sync check used across the test modules."""
+"""Shared worked-example vectors, the single-guess reference decoder with
+its erasure decoder, the guess enumerator and reference-decoder check, and
+the exact-sync check used across the test modules."""
 
 from typing import Iterator, Sequence
 
@@ -10,15 +11,16 @@ from gccodes import (
     Success,
     SyncConfig,
     apply_edits,
-    decode_case,
     decode_with_parities,
     gc_decode,
     recover_parities_del,
     recover_parities_ins,
     run_sync,
+    subsequence_check,
 )
+from gccodes.channel import KINDS
 from gccodes.gf import field
-from gccodes.mds import SystematicCode
+from gccodes.mds import SystematicCode, solve_erasures, systematic_code
 
 PARAMS_16 = GcParams(k=16, ell=4, c=2, delta=1)
 
@@ -48,6 +50,97 @@ def delete(bits: str, *positions: int) -> str:
 
 RECEIVED_A = delete(CODEWORD_A, 14)  # 14th bit deleted, decodes uniquely
 RECEIVED_B = delete(CODEWORD_B, 14)  # 14th bit deleted, decoding failure
+
+
+def decode_erasures(
+    code: SystematicCode, symbols: Sequence[int | None], parities: Sequence[int]
+) -> list[int]:
+    """Fill in erased (None) positions using the first e parity values.
+
+    Exactly e parities must be supplied, e = number of erasures.
+    """
+    erased = tuple(j for j, s in enumerate(symbols) if s is None)
+    e = len(erased)
+    if len(parities) != e:
+        raise ValueError(f"{e} erasures need exactly the first {e} parities")
+    if e > code.c:
+        raise ValueError(f"{e} erasures exceed {code.c} parities")
+    # parities of the unerased symbols alone; encode checks the length
+    known = code.encode([s or 0 for s in symbols])
+    rhs = [p ^ k for p, k in zip(parities, known)]
+    out = list(symbols)
+    for j, x in zip(erased, solve_erasures(code.gf, erased, rhs)):  # type: ignore[arg-type]
+        out[j] = x
+    return out  # type: ignore[return-value]
+
+
+def decode_case(
+    systematic_region: str,
+    assignment: Sequence[int],
+    parities: Sequence[int],
+    k: int,
+    ell: int,
+    mode: str = "deletions",
+) -> str | None:
+    """Reference single-guess decoder for a k-bit message in ell-bit blocks:
+    chunk the region per the assignment, erasure-decode the assumed-hit
+    blocks with the leading parities, and accept only if the unused
+    parities and the per-block checks pass. Returns the candidate message,
+    or None when the guess is impossible; the scan is its optimized form."""
+    if mode not in KINDS:
+        raise ValueError(f"mode must be one of {KINDS}")
+    deletions = mode == "deletions"
+    code = systematic_code(ell, -(-k // ell), len(parities))  # checks k' + c <= q
+    kp = code.k_prime
+    if len(assignment) != kp:
+        raise ValueError(f"assignment must have {kp} entries")
+    if any(v < 0 for v in assignment):
+        raise ValueError("assignment entries must be non-negative")
+    d = sum(assignment)
+    expected = k - d if deletions else k + d
+    if len(systematic_region) != expected:
+        raise ValueError(f"region must be {expected} bits for this assignment")
+
+    nlens = [ell] * (kp - 1) + [k - (kp - 1) * ell]
+    chunks = []
+    pos = 0
+    for nl, v in zip(nlens, assignment):
+        clen = nl - v if deletions else nl + v
+        if clen < 0:
+            return None  # block cannot lose more bits than it has
+        chunks.append(systematic_region[pos : pos + clen])
+        pos += clen
+
+    symbols: list[int | None] = []
+    for i, (chunk, v) in enumerate(zip(chunks, assignment)):
+        if v > 0:
+            symbols.append(None)
+        else:
+            symbols.append(int(chunk, 2) << (ell - len(chunk)) if chunk else 0)
+    e = sum(1 for s in symbols if s is None)
+    decoded = decode_erasures(code, symbols, list(parities[:e]))
+
+    if code.encode(decoded)[e:] != tuple(parities[e:]):
+        return None
+
+    parts = []
+    for i, (chunk, v) in enumerate(zip(chunks, assignment)):
+        nl = nlens[i]
+        if v == 0:
+            parts.append(chunk)
+            continue
+        bits = format(decoded[i], f"0{ell}b")
+        content = bits[:nl]
+        if nl < ell and "1" in bits[nl:]:
+            return None
+        if deletions:
+            if not subsequence_check(chunk, content):
+                return None
+        else:
+            if not subsequence_check(content, chunk):
+                return None
+        parts.append(content)
+    return "".join(parts)
 
 
 def enumerate_cases(
