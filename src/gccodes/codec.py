@@ -66,10 +66,6 @@ class GcParams:
         return -(-self.k // self.ell)
 
     @property
-    def ell_last(self) -> int:
-        return self.k - (self.k_prime - 1) * self.ell
-
-    @property
     def n(self) -> int:
         return self.k + self.c * (self.delta + 1) * self.ell
 
@@ -77,7 +73,6 @@ class GcParams:
 @dataclass(frozen=True)
 class Success:
     message: str
-    witness: tuple[int, ...]  # one accepted per-block edit assignment
 
 
 @dataclass(frozen=True)
@@ -274,7 +269,7 @@ def _prefix_tables(bits: str, k: int, d: int, code: SystematicCode, deletions: b
     bits[i*ell - s:] for deletions and bits[i*ell + s:] for insertions.
     `_read_symbols` reads each shift from X = int(bits, 2), parsed once: bits
     past the string read as 0, the last block keeps only its first
-    k - (k'-1)*ell bits, and every block that starts before position 0
+    L = k - (k'-1)*ell bits, and every block that starts before position 0
     reads as 0 (several when d > ell, which decode_with_parities allows).
     Unerased-block symbols depend only on (block, shift), so the terms of
     any unerased run of blocks at one shift are one table difference.
@@ -286,18 +281,18 @@ def _prefix_tables(bits: str, k: int, d: int, code: SystematicCode, deletions: b
     on the region only where a block read at shift s <= d_s runs past the
     region's end:
     - insertions: block k'-1 ends at k + s <= k + d_s; nothing differs.
-    - deletions: block i <= k'-3 ends at (i+1)*ell - s <= k - ell - ell_last
+    - deletions: block i <= k'-3 ends at (i+1)*ell - s <= k - ell - L
       < k - d_s, as d_s <= delta <= ell. Block k'-2 ends at (k'-1)*ell - s,
-      inside iff ell_last + s >= d_s; block k'-1 ends at k - s, inside iff
+      inside iff L + s >= d_s; block k'-1 ends at k - s, inside iff
       s >= d_s. So T[d_s] is exact, and for s < d_s only T[s][r][k'] and,
-      when ell_last + s < d_s, T[s][r][k'-1] differ.
+      when L + s < d_s, T[s][r][k'-1] differ.
     `_scan` uses neither. It reads index k' only of T[d_s] (in `Td` and the
     d = 0 guess); every other read is at an index <= k'-1. A value built
     from an index-(k'-1) read of T[s], s < d_s, serves only guesses whose
     last erased block is k'-1 with s edits before it: `last[s][r][k'-1]`,
     and `Tw[r][i + 1]` at i = k'-2 in the pair loop, which reaches i = k'-2
     only when jtop = k'. Such a guess puts d_s - s edits on block k'-1, and
-    `top(d_s - s)` admits block k'-1 only when d_s - s <= ell_last, that
+    `top(d_s - s)` admits block k'-1 only when d_s - s <= L, that
     is, exactly when the entry agrees."""
     gf = code.gf
     ell = gf.m
@@ -336,15 +331,14 @@ def _scan(
     code: SystematicCode,
     p: Sequence[int],
     deletions: bool,
-    found: dict[str, tuple[int, ...]],
+    found: set[str],
 ) -> None:
     """Try every assignment of d = len(T) - 1 edits to the blocks of this
-    region of a k-bit message against the parities p of `code`; record
-    accepted messages in `found` keyed by message, value =
-    lexicographically smallest accepting assignment. T holds the prefix
-    tables for shifts 0..d (`_prefix_tables`); `_decode` builds them once
-    for all the splits, and the entries that differ from the region's own
-    tables are never read here (see `_prefix_tables`).
+    region of a k-bit message against the parities p of `code`; add
+    accepted messages to `found`. T holds the prefix tables for shifts
+    0..d (`_prefix_tables`); `_decode` builds them once for all the splits,
+    and the entries that differ from the region's own tables are never
+    read here (see `_prefix_tables`).
 
     A guess erasing blocks i_1 < ... < i_z leaves the residual syndromes
     b_r = p_r + (parity-r terms of the unerased blocks) = sum_t X_t a_t^r,
@@ -394,17 +388,13 @@ def _scan(
 
     def accept(b: list[int], entries: tuple[tuple[int, int], ...]) -> None:
         """Check every window and solve the erased symbols, then rebuild
-        and record the message with its smallest accepting assignment."""
+        the message and add it to `found`."""
         X = solve_erasures(gf, [i for i, _ in entries], b)
         if X is None:
             return
         msg = _rebuild(region, ell, nlens, entries, X, deletions)
         if msg is not None:
-            dense = [0] * kp
-            for i, v in entries:
-                dense[i] = v
-            if msg not in found or tuple(dense) < found[msg]:
-                found[msg] = tuple(dense)
+            found.add(msg)
 
     def lin(R: list[list[int]], x0: int, m: int) -> list[int]:
         """R_(m+1)[x] + a_x R_m[x] for the blocks x = x0, x0 + 1, ..."""
@@ -624,13 +614,13 @@ def _decode(
     if any(not 0 <= s < code.gf.q for s in parities):
         raise ValueError(f"parity symbols must lie in [0, {code.gf.q})")
     T = _prefix_tables(bits, k, max(d_s for _, d_s in splits), code, deletions)
-    found: dict[str, tuple[int, ...]] = {}
+    found: set[str] = set()
     for region, d_s in splits:
         _scan(region, T[: d_s + 1], k, code, parities, deletions, found)
     if not found:
         return NoCandidate()
     if len(found) == 1:
-        return Success(*found.popitem())
+        return Success(found.pop())
     return Failure(frozenset(found))
 
 

@@ -69,9 +69,8 @@ class SystematicCode:
             raise ValueError(f"k_prime + c = {k_prime + c} exceeds field size {gf.q}")
         self.gf = gf
         self.k_prime = k_prime
-        self.c = c
         order = gf.q - 1
-        # logcol[r-1][j] = log of the column entry alpha^(j*(r-1))
+        # logcol[r-1][j] = log of the column entry alpha^(j*(r-1)), r = 1..c
         self.logcol = tuple(tuple((j * r) % order for j in range(k_prime)) for r in range(c))
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from gccodes import (
     gamma_census,
     gc_decode,
     gc_encode,
+    recover_parities_del,
     theoretical_bound,
     vt_correct,
     vt_syndrome,
@@ -32,6 +33,7 @@ from vectors import (
     PARITY_BITS_B,
     RECEIVED_A,
     RECEIVED_B,
+    decode_case,
     decode_erasures,
     enumerate_cases,
 )
@@ -54,8 +56,22 @@ def test_criterion_01_worked_encoding_vectors():
 
 
 def test_criterion_02_worked_decoding_vectors():
-    out = gc_decode(RECEIVED_A, PARAMS_16)
-    assert out == Success(MSG_A, (0, 0, 0, 1))  # guess: one deletion in block 4
+    assert gc_decode(RECEIVED_A, PARAMS_16) == Success(MSG_A)
+    # of the guesses on both splits, only one deletion in block 4 decodes
+    parities = _symbols(PARITY_BITS_A)
+    _, splits = recover_parities_del(RECEIVED_A, PARAMS_16)
+    guesses = {
+        (d_s, a): decode_case(region, a, parities, 16, 4)
+        for region, d_s in splits
+        for a in enumerate_cases(4, d_s)
+    }
+    assert guesses == {
+        (1, (0, 0, 0, 1)): MSG_A,
+        (1, (0, 0, 1, 0)): None,
+        (1, (0, 1, 0, 0)): None,
+        (1, (1, 0, 0, 0)): None,
+        (0, (0, 0, 0, 0)): None,
+    }
     out_b = gc_decode(RECEIVED_B, PARAMS_16)
     assert isinstance(out_b, Failure)
     assert out_b.candidates == frozenset({MSG_B, MSG_B_OTHER})
